@@ -106,85 +106,76 @@ EvaluationEngine::EvaluationEngine(const measures::MeasureRegistry& registry,
   }
 }
 
-std::unique_lock<std::mutex> EvaluationEngine::LockIfExternal(
-    const version::KbView& view) {
-  if (view.InternallySynchronized()) return std::unique_lock<std::mutex>();
-  return std::unique_lock<std::mutex>(vkb_mu_);
-}
-
-Result<std::shared_ptr<const SharedEvaluation>> EvaluationEngine::Evaluate(
-    const version::VersionedKnowledgeBase& vkb, version::VersionId v1,
-    version::VersionId v2, measures::ContextOptions context_options) {
-  version::SingleKbView view(vkb);
-  return Evaluate(view, v1, v2, context_options);
-}
-
 Result<std::shared_ptr<const SharedEvaluation>> EvaluationEngine::Evaluate(
     const version::KbView& view, version::VersionId v1, version::VersionId v2,
     measures::ContextOptions context_options) {
-  Result<version::SnapshotHandle> before = InternalError("unresolved");
-  Result<version::SnapshotHandle> after = InternalError("unresolved");
-  {
-    // Handles read the view's version vectors, which a concurrent
-    // CommitAndRefresh appends to — same lock as every other view
-    // touch (a no-op for internally synchronised views).
-    auto lock = LockIfExternal(view);
-    before = view.Handle(v1);
-    after = view.Handle(v2);
-  }
+  auto before = view.Handle(v1);
   if (!before.ok()) return before.status();
+  auto after = view.Handle(v2);
   if (!after.ok()) return after.status();
-  ContextKey key{before->fingerprint, after->fingerprint, context_options};
+  const ContextKey key{before->fingerprint, after->fingerprint,
+                       context_options};
 
   // Per-version artefacts come from the artefact cache (keyed by
   // snapshot fingerprint): a version shared with any previously built
   // pair contributes its snapshot copy, schema view, schema graph and
   // betweenness for free, and only the pair-level delta work runs
-  // here. Cache misses snapshot under the vkb lock (the versioned
-  // KB's lazy snapshot cache is not thread-safe); everything else runs
-  // outside the engine lock, so other keys stay servable meanwhile and
-  // same-key callers wait on the in-flight future.
+  // here. Everything runs outside the engine lock, so other keys stay
+  // servable meanwhile and same-key callers wait on the in-flight
+  // future.
   const auto build = [&]() -> Result<measures::EvolutionContext> {
-    const auto materialize = [&](version::VersionId v) {
-      return [this, &view,
-              v]() -> Result<std::shared_ptr<const rdf::KnowledgeBase>> {
-        auto lock = LockIfExternal(view);
-        return view.SharedSnapshot(v);
-      };
-    };
-    auto before_art = artefacts_.Get(before->fingerprint, context_options,
-                                     materialize(v1));
-    if (!before_art.ok()) return before_art.status();
-    auto after_art = artefacts_.Get(after->fingerprint, context_options,
-                                    materialize(v2));
-    if (!after_art.ok()) return after_art.status();
-    if (before_art->snapshot->shared_dictionary() !=
-        after_art->snapshot->shared_dictionary()) {
-      // Fingerprint-equal versions of *distinct* VersionedKnowledgeBase
-      // instances (identical histories, e.g. a restored replica) carry
-      // identical TermId mappings but distinct Dictionary objects, so a
-      // cached artefact from one instance cannot pair with a freshly
-      // materialised one from the other. Rebuild both sides from the
-      // caller's vkb — correct, just uncached — rather than failing
-      // the request.
-      auto rebuild = [&](version::VersionId v, uint64_t fingerprint)
-          -> Result<measures::VersionArtefacts> {
-        auto snapshot = materialize(v)();
-        if (!snapshot.ok()) return snapshot.status();
-        return measures::MakeVersionArtefacts(std::move(*snapshot),
-                                              context_options, &pool_,
-                                              /*sampling_salt=*/fingerprint);
-      };
-      before_art = rebuild(v1, before->fingerprint);
-      if (!before_art.ok()) return before_art.status();
-      after_art = rebuild(v2, after->fingerprint);
-      if (!after_art.ok()) return after_art.status();
-    }
-    return measures::EvolutionContext::Build(std::move(*before_art),
-                                             std::move(*after_art),
+    auto pair = PairArtefacts(view, *before, *after, context_options,
+                              /*advance=*/false);
+    if (!pair.ok()) return pair.status();
+    return measures::EvolutionContext::Build(std::move(pair->first),
+                                             std::move(pair->second),
                                              context_options);
   };
   return GetOrBuild(key, build, /*refreshed=*/false);
+}
+
+Result<std::pair<measures::VersionArtefacts, measures::VersionArtefacts>>
+EvaluationEngine::PairArtefacts(const version::KbView& view,
+                                const version::SnapshotHandle& before,
+                                const version::SnapshotHandle& after,
+                                const measures::ContextOptions& options,
+                                bool advance) {
+  const auto materialize = [&view](version::VersionId v) {
+    return [&view, v] { return view.SharedSnapshot(v); };
+  };
+  auto before_art =
+      artefacts_.Get(before.fingerprint, options, materialize(before.id));
+  if (!before_art.ok()) return before_art.status();
+  auto after_art =
+      advance ? artefacts_.Refresh(before.fingerprint, after.fingerprint,
+                                   options, materialize(after.id),
+                                   options_.refresh_churn_threshold)
+              : artefacts_.Get(after.fingerprint, options,
+                               materialize(after.id));
+  if (!after_art.ok()) return after_art.status();
+  if (before_art->snapshot->shared_dictionary() !=
+      after_art->snapshot->shared_dictionary()) {
+    // Fingerprint-equal versions of *distinct* KB instances (identical
+    // histories, e.g. a restored replica) carry identical TermId
+    // mappings but distinct Dictionary objects, so a cached artefact
+    // from one instance cannot pair with a freshly materialised one
+    // from the other. Rebuild both sides cold from the caller's view —
+    // correct, just uncached, and nothing from the twin is advanced —
+    // rather than failing the request.
+    const auto rebuild = [&](const version::SnapshotHandle& handle)
+        -> Result<measures::VersionArtefacts> {
+      auto snapshot = view.SharedSnapshot(handle.id);
+      if (!snapshot.ok()) return snapshot.status();
+      return measures::MakeVersionArtefacts(
+          std::move(*snapshot), options, &pool_,
+          /*sampling_salt=*/handle.fingerprint);
+    };
+    before_art = rebuild(before);
+    if (!before_art.ok()) return before_art.status();
+    after_art = rebuild(after);
+    if (!after_art.ok()) return after_art.status();
+  }
+  return std::make_pair(std::move(*before_art), std::move(*after_art));
 }
 
 Result<EvaluationEngine::SharedEval> EvaluationEngine::GetOrBuild(
@@ -245,90 +236,41 @@ EvaluationEngine::SharedEval EvaluationEngine::Peek(
 }
 
 Result<EvaluationEngine::RefreshResult> EvaluationEngine::Refresh(
-    const version::VersionedKnowledgeBase& vkb,
-    measures::ContextOptions context_options) {
-  version::SingleKbView view(vkb);
-  return Refresh(view, context_options);
-}
-
-Result<EvaluationEngine::RefreshResult> EvaluationEngine::Refresh(
     const version::KbView& view, measures::ContextOptions context_options) {
-  version::VersionId head = 0;
-  Result<version::SnapshotHandle> prev = InternalError("unresolved");
-  Result<version::SnapshotHandle> curr = InternalError("unresolved");
-  uint64_t prev_prev_fingerprint = 0;
-  bool have_prev_prev = false;
-  version::ChangeSet changes;
-  {
-    auto lock = LockIfExternal(view);
-    if (view.version_count() < 2) {
-      return FailedPreconditionError(
-          "refresh needs at least one committed version");
-    }
-    head = view.head();
-    prev = view.Handle(head - 1);
-    curr = view.Handle(head);
-    if (head >= 2) {
-      auto pp = view.Handle(head - 2);
-      if (pp.ok()) {
-        prev_prev_fingerprint = pp->fingerprint;
-        have_prev_prev = true;
-      }
-    }
-    auto cs = view.Changes(head);
-    if (!cs.ok()) return cs.status();
-    changes = std::move(cs).value();
+  const version::VersionId head = view.head();
+  if (head == 0) {
+    return FailedPreconditionError(
+        "refresh needs at least one committed version");
   }
+  auto changes = view.Changes(head);
+  if (!changes.ok()) return changes.status();
+  auto prev = view.Handle(head - 1);
   if (!prev.ok()) return prev.status();
+  auto curr = view.Handle(head);
   if (!curr.ok()) return curr.status();
+  // The preceding pair's "before" side, when there is one: its warm
+  // evaluation lends the build a delta index to advance from.
+  auto prev_prev = head >= 2 ? view.Handle(head - 2)
+                             : Result<version::SnapshotHandle>(
+                                   NotFoundError("no preceding pair"));
   const ContextKey key{prev->fingerprint, curr->fingerprint, context_options};
 
   const auto build = [&]() -> Result<measures::EvolutionContext> {
-    const auto materialize = [&](version::VersionId v) {
-      return [this, &view,
-              v]() -> Result<std::shared_ptr<const rdf::KnowledgeBase>> {
-        auto lock = LockIfExternal(view);
-        return view.SharedSnapshot(v);
-      };
-    };
-    auto prev_art = artefacts_.Get(prev->fingerprint, context_options,
-                                   materialize(head - 1));
-    if (!prev_art.ok()) return prev_art.status();
-    auto head_art = artefacts_.Refresh(
-        prev->fingerprint, curr->fingerprint, context_options,
-        materialize(head), options_.refresh_churn_threshold);
-    if (!head_art.ok()) return head_art.status();
-    if (prev_art->snapshot->shared_dictionary() !=
-        head_art->snapshot->shared_dictionary()) {
-      // Same replica situation as in Evaluate: cached artefacts from a
-      // fingerprint-twin vkb cannot pair with this one's. Rebuild both
-      // sides cold — nothing cached from the twin can be advanced.
-      auto rebuild = [&](version::VersionId v, uint64_t fingerprint)
-          -> Result<measures::VersionArtefacts> {
-        auto snapshot = materialize(v)();
-        if (!snapshot.ok()) return snapshot.status();
-        return measures::MakeVersionArtefacts(std::move(*snapshot),
-                                              context_options, &pool_,
-                                              /*sampling_salt=*/fingerprint);
-      };
-      prev_art = rebuild(head - 1, prev->fingerprint);
-      if (!prev_art.ok()) return prev_art.status();
-      head_art = rebuild(head, curr->fingerprint);
-      if (!head_art.ok()) return head_art.status();
-    }
+    auto pair = PairArtefacts(view, *prev, *curr, context_options,
+                              /*advance=*/true);
+    if (!pair.ok()) return pair.status();
     // O(|δ|): the pair delta comes from the commit's archived change
     // set via membership probes, not an O(T) store diff.
     delta::LowLevelDelta delta =
-        delta::DeltaFromCandidates(*prev_art->snapshot, changes);
-    // Advance the delta index from the preceding pair's when that
-    // evaluation is still warm (keep it alive across the build).
+        delta::DeltaFromCandidates(*pair->first.snapshot, *changes);
+    // Keep the preceding evaluation alive across the build.
     SharedEval preceding;
-    if (have_prev_prev) {
+    if (prev_prev.ok()) {
       preceding = Peek(
-          ContextKey{prev_prev_fingerprint, prev->fingerprint, context_options});
+          ContextKey{prev_prev->fingerprint, prev->fingerprint, context_options});
     }
     return measures::EvolutionContext::Build(
-        std::move(*prev_art), std::move(*head_art), std::move(delta),
+        std::move(pair->first), std::move(pair->second), std::move(delta),
         preceding != nullptr ? &preceding->context().delta_index() : nullptr,
         context_options);
   };
@@ -352,47 +294,24 @@ EvaluationEngine::LastGoodRefresh() const {
 }
 
 Result<EvaluationEngine::RefreshResult> EvaluationEngine::CommitAndRefresh(
-    version::VersionedKnowledgeBase& vkb, version::ChangeSet changes,
-    std::string author, std::string message, uint64_t timestamp,
-    measures::ContextOptions context_options) {
-  version::SingleKbView view(vkb);
-  return CommitAndRefresh(view, std::move(changes), std::move(author),
-                          std::move(message), timestamp, context_options);
-}
-
-Result<EvaluationEngine::RefreshResult> EvaluationEngine::CommitAndRefresh(
     version::KbView& view, version::ChangeSet changes, std::string author,
     std::string message, uint64_t timestamp,
     measures::ContextOptions context_options) {
-  {
-    auto lock = LockIfExternal(view);
-    auto committed = view.Commit(std::move(changes), std::move(author),
-                                 std::move(message), timestamp);
-    if (!committed.ok()) return committed.status();
-  }
+  auto committed = view.Commit(std::move(changes), std::move(author),
+                               std::move(message), timestamp);
+  if (!committed.ok()) return committed.status();
   return Refresh(view, context_options);
-}
-
-Result<measures::EvolutionTimeline> EvaluationEngine::Timeline(
-    const version::VersionedKnowledgeBase& vkb, std::string_view measure,
-    version::VersionId first, version::VersionId last,
-    measures::ContextOptions context_options) {
-  version::SingleKbView view(vkb);
-  return Timeline(view, measure, first, last, context_options);
 }
 
 Result<measures::EvolutionTimeline> EvaluationEngine::Timeline(
     const version::KbView& view, std::string_view measure,
     version::VersionId first, version::VersionId last,
     measures::ContextOptions context_options) {
-  version::VersionId end = 0;
-  {
-    auto lock = LockIfExternal(view);
-    if (view.version_count() < 2) {
-      return FailedPreconditionError("timeline needs at least two versions");
-    }
-    end = std::min<version::VersionId>(last, view.head());
+  const version::VersionId head = view.head();
+  if (head == 0) {
+    return FailedPreconditionError("timeline needs at least two versions");
   }
+  const version::VersionId end = std::min(last, head);
   if (first >= end) {
     return InvalidArgumentError("empty version range for timeline");
   }

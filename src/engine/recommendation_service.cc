@@ -1,5 +1,6 @@
 #include "engine/recommendation_service.h"
 
+#include <algorithm>
 #include <functional>
 #include <utility>
 
@@ -139,14 +140,21 @@ void RecommendationService::MarkCommitSucceeded() {
   health_.state = HealthState::kHealthy;
 }
 
-void RecommendationService::CountDegradedServes(uint64_t n) {
-  std::lock_guard<std::mutex> lock(health_mu_);
-  health_.degraded_serves += n;
-}
-
-void RecommendationService::CountBrownoutServes(uint64_t n) {
-  std::lock_guard<std::mutex> lock(health_mu_);
-  health_.brownout_serves += n;
+void RecommendationService::Deliver(
+    std::span<recommend::RecommendationList> lists, const Admitted& admitted,
+    uint64_t start) {
+  for (recommend::RecommendationList& list : lists) {
+    list.degraded = admitted.degraded;
+    list.brownout = admitted.brownout;
+  }
+  if (admitted.degraded || admitted.brownout) {
+    std::lock_guard<std::mutex> lock(health_mu_);
+    if (admitted.degraded) health_.degraded_serves += lists.size();
+    if (admitted.brownout) health_.brownout_serves += lists.size();
+  }
+  // Every request of a batch completed when the batch did: n samples
+  // of the batch's wall time is each request's observed latency.
+  read_latency_.RecordN(env_->NowMicros() - start, lists.size());
 }
 
 ServiceHealth RecommendationService::health() const {
@@ -159,13 +167,6 @@ ServiceHealth RecommendationService::health() const {
   return out;
 }
 
-Status RecommendationService::WarmStart(
-    const version::VersionedKnowledgeBase& vkb, version::VersionId v1,
-    version::VersionId v2) {
-  version::SingleKbView view(vkb);
-  return WarmStart(view, v1, v2);
-}
-
 Status RecommendationService::WarmStart(const version::KbView& view,
                                         version::VersionId v1,
                                         version::VersionId v2) {
@@ -176,15 +177,6 @@ Status RecommendationService::WarmStart(const version::KbView& view,
   // fills here so even measures outside the candidate pipeline are hot.
   auto reports = (*evaluation)->AllReports();
   return reports.ok() ? OkStatus() : reports.status();
-}
-
-Result<version::VersionId> RecommendationService::Commit(
-    version::VersionedKnowledgeBase& vkb, version::ChangeSet changes,
-    std::string author, std::string message, uint64_t timestamp,
-    const RequestBudget& budget) {
-  version::SingleKbView view(vkb);
-  return Commit(view, std::move(changes), std::move(author),
-                std::move(message), timestamp, budget);
 }
 
 Result<version::VersionId> RecommendationService::Commit(
@@ -248,115 +240,59 @@ Result<version::VersionId> RecommendationService::Commit(
   return refreshed->version;
 }
 
-Result<recommend::RecommendationList> RecommendationService::Recommend(
-    const version::VersionedKnowledgeBase& vkb, version::VersionId v1,
-    version::VersionId v2, profile::HumanProfile& prof,
-    const RequestBudget& budget) {
-  version::SingleKbView view(vkb);
-  return Recommend(view, v1, v2, prof, budget);
+Result<RecommendationService::Admitted> RecommendationService::BeginRead(
+    const version::KbView& view, version::VersionId v1, version::VersionId v2,
+    AdmissionLane lane, uint64_t n, const RequestBudget& budget) {
+  Admitted admitted;
+  // A batch of n is n logical requests to the rate bucket but one
+  // in-flight unit of work.
+  auto ticket = AdmitOrShed(lane, budget, n);
+  if (!ticket.ok()) return ticket.status();
+  admitted.ticket = std::move(ticket).value();
+  admitted.deadline = EffectiveDeadline(budget);
+  Status alive = CheckDeadline(admitted.deadline, "context build", n);
+  if (!alive.ok()) return alive;
+  const measures::ContextOptions& context = PickContext(&admitted.brownout);
+  auto evaluation = WarmOrFallback(view, v1, v2, context, &admitted.state,
+                                   &admitted.degraded);
+  if (!evaluation.ok()) return evaluation.status();
+  return admitted;
+}
+
+Result<recommend::RecommendationList> RecommendationService::Serve(
+    const version::KbView& view, version::VersionId v1, version::VersionId v2,
+    AdmissionLane lane, const RequestBudget& budget, const ServeFn& serve) {
+  const uint64_t start = env_->NowMicros();
+  auto admitted = BeginRead(view, v1, v2, lane, 1, budget);
+  if (!admitted.ok()) return admitted.status();
+  Status alive = CheckDeadline(admitted->deadline, "scoring", 1);
+  if (!alive.ok()) return alive;
+  auto list = serve(*admitted->state, 0, provenance_);
+  if (list.ok()) Deliver(std::span(&*list, 1), *admitted, start);
+  return list;
 }
 
 Result<recommend::RecommendationList> RecommendationService::Recommend(
     const version::KbView& view, version::VersionId v1, version::VersionId v2,
     profile::HumanProfile& prof, const RequestBudget& budget) {
-  const uint64_t start = env_->NowMicros();
-  auto ticket = AdmitOrShed(AdmissionLane::kBulk, budget, 1);
-  if (!ticket.ok()) return ticket.status();
-  const Deadline deadline = EffectiveDeadline(budget);
-  Status alive = CheckDeadline(deadline, "context build", 1);
-  if (!alive.ok()) return alive;
-  bool brownout = false;
-  const measures::ContextOptions& context = PickContext(&brownout);
-  std::shared_ptr<const recommend::SharedRunState> state;
-  bool degraded = false;
-  auto evaluation = WarmOrFallback(view, v1, v2, context, &state, &degraded);
-  if (!evaluation.ok()) return evaluation.status();
-  alive = CheckDeadline(deadline, "scoring", 1);
-  if (!alive.ok()) return alive;
-  auto list = recommender_.RecommendForUser(*state, prof);
-  if (list.ok()) {
-    if (degraded) {
-      list->degraded = true;
-      CountDegradedServes(1);
-    }
-    if (brownout) {
-      list->brownout = true;
-      CountBrownoutServes(1);
-    }
-    read_latency_.Record(env_->NowMicros() - start);
-  }
-  return list;
-}
-
-Result<recommend::RecommendationList> RecommendationService::RecommendGroup(
-    const version::VersionedKnowledgeBase& vkb, version::VersionId v1,
-    version::VersionId v2, profile::Group& group,
-    const RequestBudget& budget) {
-  version::SingleKbView view(vkb);
-  return RecommendGroup(view, v1, v2, group, budget);
+  return Serve(view, v1, v2, AdmissionLane::kBulk, budget,
+               [&](const recommend::SharedRunState& state, size_t,
+                   provenance::ProvenanceStore* trace) {
+                 return recommender_.RecommendForUser(state, prof, trace);
+               });
 }
 
 Result<recommend::RecommendationList> RecommendationService::RecommendGroup(
     const version::KbView& view, version::VersionId v1, version::VersionId v2,
     profile::Group& group, const RequestBudget& budget) {
-  const uint64_t start = env_->NowMicros();
   // Group serves ride the priority lane: they are rarer and more
   // expensive per call, so a bulk-read flood must not starve them.
-  auto ticket = AdmitOrShed(AdmissionLane::kPriority, budget, 1);
-  if (!ticket.ok()) return ticket.status();
-  const Deadline deadline = EffectiveDeadline(budget);
-  Status alive = CheckDeadline(deadline, "context build", 1);
-  if (!alive.ok()) return alive;
-  bool brownout = false;
-  const measures::ContextOptions& context = PickContext(&brownout);
-  std::shared_ptr<const recommend::SharedRunState> state;
-  bool degraded = false;
-  auto evaluation = WarmOrFallback(view, v1, v2, context, &state, &degraded);
-  if (!evaluation.ok()) return evaluation.status();
-  alive = CheckDeadline(deadline, "scoring", 1);
-  if (!alive.ok()) return alive;
-  auto list = recommender_.RecommendForGroup(*state, group);
-  if (list.ok()) {
-    if (degraded) {
-      list->degraded = true;
-      CountDegradedServes(1);
-    }
-    if (brownout) {
-      list->brownout = true;
-      CountBrownoutServes(1);
-    }
-    read_latency_.Record(env_->NowMicros() - start);
-  }
-  return list;
+  return Serve(view, v1, v2, AdmissionLane::kPriority, budget,
+               [&](const recommend::SharedRunState& state, size_t,
+                   provenance::ProvenanceStore* trace) {
+                 return recommender_.RecommendForGroup(state, group, trace);
+               });
 }
-
-namespace {
-
-// Runs `serve(i)` for every index, in parallel over `pool` when
-// requested, and collects the results in input order. Every slot is
-// filled (parallel runs don't short-circuit); the first error wins.
-Result<std::vector<recommend::RecommendationList>> ServeAll(
-    size_t n, bool parallel, ThreadPool& pool,
-    const std::function<Result<recommend::RecommendationList>(size_t)>&
-        serve) {
-  std::vector<Result<recommend::RecommendationList>> slots(
-      n, Result<recommend::RecommendationList>(
-             InternalError("request not served")));
-  if (parallel) {
-    pool.ParallelFor(n, [&](size_t i) { slots[i] = serve(i); });
-  } else {
-    for (size_t i = 0; i < n; ++i) slots[i] = serve(i);
-  }
-  std::vector<recommend::RecommendationList> results;
-  results.reserve(n);
-  for (Result<recommend::RecommendationList>& slot : slots) {
-    if (!slot.ok()) return slot.status();
-    results.push_back(std::move(slot).value());
-  }
-  return results;
-}
-
-}  // namespace
 
 std::vector<provenance::RecordId> RecommendationService::MergeScratchTraces(
     std::vector<provenance::ProvenanceStore>& scratch) {
@@ -391,16 +327,72 @@ void RebaseTrail(recommend::RecommendationList& list,
   }
 }
 
+// Rejects null and repeated batch entries: two workers delivering to
+// one profile (or group) would race on its seen-history.
+template <typename T>
+Status CheckDistinct(const std::vector<T*>& items, const std::string& what) {
+  if (std::find(items.begin(), items.end(), nullptr) != items.end()) {
+    return InvalidArgumentError(what + ": null entry");
+  }
+  std::vector<T*> sorted = items;
+  std::sort(sorted.begin(), sorted.end(), std::less<>());
+  if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+    return InvalidArgumentError(what + ": repeated entry (batch entries must "
+                                "be distinct objects)");
+  }
+  return OkStatus();
+}
+
 }  // namespace
 
 Result<std::vector<recommend::RecommendationList>>
-RecommendationService::RecommendBatch(
-    const version::VersionedKnowledgeBase& vkb, version::VersionId v1,
-    version::VersionId v2,
-    const std::vector<profile::HumanProfile*>& profiles,
-    const RequestBudget& budget) {
-  version::SingleKbView view(vkb);
-  return RecommendBatch(view, v1, v2, profiles, budget);
+RecommendationService::ServeBatch(const version::KbView& view,
+                                  version::VersionId v1, version::VersionId v2,
+                                  AdmissionLane lane, size_t n,
+                                  const RequestBudget& budget,
+                                  const ServeFn& serve) {
+  const uint64_t start = env_->NowMicros();
+  auto admitted = BeginRead(view, v1, v2, lane, n, budget);
+  if (!admitted.ok()) return admitted.status();
+  // Parallel with an audit trail: every worker traces into a private
+  // scratch store, then the scratches splice into the attached store
+  // in request order — the same records, ids and order a sequential
+  // batch would have produced. A sequential batch traces in place.
+  const bool parallel = options_.parallel_batches;
+  std::vector<provenance::ProvenanceStore> scratch(
+      parallel && provenance_ != nullptr ? n : 0);
+  std::vector<Result<recommend::RecommendationList>> slots(
+      n, Result<recommend::RecommendationList>(
+             InternalError("request not served")));
+  // Every slot is filled (parallel runs don't short-circuit); the
+  // first error wins below.
+  const auto serve_one = [&](size_t i) {
+    Status alive = CheckDeadline(admitted->deadline, "batch scoring", 1);
+    if (!alive.ok()) {
+      slots[i] = alive;
+      return;
+    }
+    slots[i] = serve(*admitted->state, i,
+                     scratch.empty() ? provenance_ : &scratch[i]);
+  };
+  if (parallel) {
+    engine_.pool().ParallelFor(n, serve_one);
+  } else {
+    for (size_t i = 0; i < n; ++i) serve_one(i);
+  }
+  // Merge before error handling: a sequential batch records every
+  // request's trail even when one of them fails.
+  std::vector<provenance::RecordId> bases;
+  if (!scratch.empty()) bases = MergeScratchTraces(scratch);
+  std::vector<recommend::RecommendationList> lists;
+  lists.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (!slots[i].ok()) return slots[i].status();
+    if (!bases.empty()) RebaseTrail(*slots[i], bases[i]);
+    lists.push_back(std::move(slots[i]).value());
+  }
+  Deliver(lists, *admitted, start);
+  return lists;
 }
 
 Result<std::vector<recommend::RecommendationList>>
@@ -408,169 +400,28 @@ RecommendationService::RecommendBatch(
     const version::KbView& view, version::VersionId v1, version::VersionId v2,
     const std::vector<profile::HumanProfile*>& profiles,
     const RequestBudget& budget) {
-  for (profile::HumanProfile* prof : profiles) {
-    if (prof == nullptr) {
-      return InvalidArgumentError("RecommendBatch: null profile");
-    }
-  }
-  const uint64_t start = env_->NowMicros();
-  const size_t n = profiles.size();
-  // A batch of n is n logical requests to the rate bucket but one
-  // in-flight unit of work.
-  auto ticket = AdmitOrShed(AdmissionLane::kBulk, budget, n);
-  if (!ticket.ok()) return ticket.status();
-  const Deadline deadline = EffectiveDeadline(budget);
-  // Checked before the shared evaluation: an already-expired batch
-  // does zero context builds (EngineStats stays untouched).
-  Status alive = CheckDeadline(deadline, "context build", n);
-  if (!alive.ok()) return alive;
-  bool brownout = false;
-  const measures::ContextOptions& context = PickContext(&brownout);
-  std::shared_ptr<const recommend::SharedRunState> state;
-  bool degraded = false;
-  auto evaluation = WarmOrFallback(view, v1, v2, context, &state, &degraded);
-  if (!evaluation.ok()) return evaluation.status();
-  Result<std::vector<recommend::RecommendationList>> results =
-      InternalError("batch not served");
-  if (options_.parallel_batches && provenance_ != nullptr) {
-    // Parallel with an audit trail: every worker traces into a private
-    // scratch store, then the scratches splice into the attached store
-    // in request order — the same records, ids and order a sequential
-    // batch would have produced.
-    std::vector<provenance::ProvenanceStore> scratch(n);
-    std::vector<Result<recommend::RecommendationList>> slots(
-        n, Result<recommend::RecommendationList>(
-               InternalError("request not served")));
-    engine_.pool().ParallelFor(n, [&](size_t i) {
-      Status user_alive = CheckDeadline(deadline, "batch scoring", 1);
-      if (!user_alive.ok()) {
-        slots[i] = user_alive;
-        return;
-      }
-      slots[i] =
-          recommender_.RecommendForUser(*state, *profiles[i], &scratch[i]);
-    });
-    // Merge before error handling: a sequential batch records every
-    // request's trail even when one of them fails.
-    const std::vector<provenance::RecordId> bases =
-        MergeScratchTraces(scratch);
-    std::vector<recommend::RecommendationList> lists;
-    lists.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      if (!slots[i].ok()) return slots[i].status();
-      RebaseTrail(*slots[i], bases[i]);
-      lists.push_back(std::move(slots[i]).value());
-    }
-    results = std::move(lists);
-  } else {
-    results = ServeAll(n, options_.parallel_batches, engine_.pool(),
-                       [&](size_t i) -> Result<recommend::RecommendationList> {
-                         Status user_alive =
-                             CheckDeadline(deadline, "batch scoring", 1);
-                         if (!user_alive.ok()) return user_alive;
-                         return recommender_.RecommendForUser(*state,
-                                                              *profiles[i]);
-                       });
-  }
-  if (results.ok() && degraded) {
-    for (recommend::RecommendationList& list : *results) {
-      list.degraded = true;
-    }
-    CountDegradedServes(results->size());
-  }
-  if (results.ok() && brownout) {
-    for (recommend::RecommendationList& list : *results) {
-      list.brownout = true;
-    }
-    CountBrownoutServes(results->size());
-  }
-  // Every request in the batch completed when the batch did: n samples
-  // of the batch's wall time is each request's observed latency.
-  if (results.ok()) read_latency_.RecordN(env_->NowMicros() - start, n);
-  return results;
-}
-
-Result<std::vector<recommend::RecommendationList>>
-RecommendationService::RecommendGroupBatch(
-    const version::VersionedKnowledgeBase& vkb, version::VersionId v1,
-    version::VersionId v2, const std::vector<profile::Group*>& groups,
-    const RequestBudget& budget) {
-  version::SingleKbView view(vkb);
-  return RecommendGroupBatch(view, v1, v2, groups, budget);
+  EVOREC_RETURN_IF_ERROR(CheckDistinct(profiles, "RecommendBatch"));
+  return ServeBatch(view, v1, v2, AdmissionLane::kBulk, profiles.size(),
+                    budget,
+                    [&](const recommend::SharedRunState& state, size_t i,
+                        provenance::ProvenanceStore* trace) {
+                      return recommender_.RecommendForUser(
+                          state, *profiles[i], trace);
+                    });
 }
 
 Result<std::vector<recommend::RecommendationList>>
 RecommendationService::RecommendGroupBatch(
     const version::KbView& view, version::VersionId v1, version::VersionId v2,
     const std::vector<profile::Group*>& groups, const RequestBudget& budget) {
-  for (profile::Group* group : groups) {
-    if (group == nullptr) {
-      return InvalidArgumentError("RecommendGroupBatch: null group");
-    }
-  }
-  const uint64_t start = env_->NowMicros();
-  const size_t n = groups.size();
-  auto ticket = AdmitOrShed(AdmissionLane::kPriority, budget, n);
-  if (!ticket.ok()) return ticket.status();
-  const Deadline deadline = EffectiveDeadline(budget);
-  Status alive = CheckDeadline(deadline, "context build", n);
-  if (!alive.ok()) return alive;
-  bool brownout = false;
-  const measures::ContextOptions& context = PickContext(&brownout);
-  std::shared_ptr<const recommend::SharedRunState> state;
-  bool degraded = false;
-  auto evaluation = WarmOrFallback(view, v1, v2, context, &state, &degraded);
-  if (!evaluation.ok()) return evaluation.status();
-  Result<std::vector<recommend::RecommendationList>> results =
-      InternalError("batch not served");
-  if (options_.parallel_batches && provenance_ != nullptr) {
-    std::vector<provenance::ProvenanceStore> scratch(n);
-    std::vector<Result<recommend::RecommendationList>> slots(
-        n, Result<recommend::RecommendationList>(
-               InternalError("request not served")));
-    engine_.pool().ParallelFor(n, [&](size_t i) {
-      Status group_alive = CheckDeadline(deadline, "batch scoring", 1);
-      if (!group_alive.ok()) {
-        slots[i] = group_alive;
-        return;
-      }
-      slots[i] =
-          recommender_.RecommendForGroup(*state, *groups[i], &scratch[i]);
-    });
-    const std::vector<provenance::RecordId> bases =
-        MergeScratchTraces(scratch);
-    std::vector<recommend::RecommendationList> lists;
-    lists.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      if (!slots[i].ok()) return slots[i].status();
-      RebaseTrail(*slots[i], bases[i]);
-      lists.push_back(std::move(slots[i]).value());
-    }
-    results = std::move(lists);
-  } else {
-    results = ServeAll(n, options_.parallel_batches, engine_.pool(),
-                       [&](size_t i) -> Result<recommend::RecommendationList> {
-                         Status group_alive =
-                             CheckDeadline(deadline, "batch scoring", 1);
-                         if (!group_alive.ok()) return group_alive;
-                         return recommender_.RecommendForGroup(*state,
-                                                               *groups[i]);
-                       });
-  }
-  if (results.ok() && degraded) {
-    for (recommend::RecommendationList& list : *results) {
-      list.degraded = true;
-    }
-    CountDegradedServes(results->size());
-  }
-  if (results.ok() && brownout) {
-    for (recommend::RecommendationList& list : *results) {
-      list.brownout = true;
-    }
-    CountBrownoutServes(results->size());
-  }
-  if (results.ok()) read_latency_.RecordN(env_->NowMicros() - start, n);
-  return results;
+  EVOREC_RETURN_IF_ERROR(CheckDistinct(groups, "RecommendGroupBatch"));
+  return ServeBatch(view, v1, v2, AdmissionLane::kPriority, groups.size(),
+                    budget,
+                    [&](const recommend::SharedRunState& state, size_t i,
+                        provenance::ProvenanceStore* trace) {
+                      return recommender_.RecommendForGroup(state, *groups[i],
+                                                            trace);
+                    });
 }
 
 }  // namespace evorec::engine

@@ -1,8 +1,10 @@
 #ifndef EVOREC_ENGINE_RECOMMENDATION_SERVICE_H_
 #define EVOREC_ENGINE_RECOMMENDATION_SERVICE_H_
 
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,7 +22,6 @@
 #include "provenance/store.h"
 #include "recommend/recommender.h"
 #include "version/kb_view.h"
-#include "version/versioned_kb.h"
 
 namespace evorec::engine {
 
@@ -156,17 +157,13 @@ class RecommendationService {
   /// to detach.
   void AttachAccessPolicy(const anonymity::AccessPolicy* policy);
 
-  /// Recommends to one human about versions (v1, v2) of `vkb`, reusing
-  /// the cached shared evaluation when warm.
-  Result<recommend::RecommendationList> Recommend(
-      const version::VersionedKnowledgeBase& vkb, version::VersionId v1,
-      version::VersionId v2, profile::HumanProfile& prof,
-      const RequestBudget& budget = {});
+  /// Every entry point below takes the KB as a version::KbView — a
+  /// VersionedKnowledgeBase or a ShardedKnowledgeBase. The view guards
+  /// its own state, so reads proceed at full fan-out while a
+  /// concurrent Commit lands.
 
-  /// KbView flavour — every vkb entry point below has one; serving a
-  /// version::ShardedKnowledgeBase through these runs snapshot pins
-  /// lock-free, so reads proceed at full fan-out while a concurrent
-  /// Commit lands.
+  /// Recommends to one human about versions (v1, v2) of `view`,
+  /// reusing the cached shared evaluation when warm.
   Result<recommend::RecommendationList> Recommend(
       const version::KbView& view, version::VersionId v1,
       version::VersionId v2, profile::HumanProfile& prof,
@@ -174,42 +171,24 @@ class RecommendationService {
 
   /// Recommends one shared package to a group.
   Result<recommend::RecommendationList> RecommendGroup(
-      const version::VersionedKnowledgeBase& vkb, version::VersionId v1,
-      version::VersionId v2, profile::Group& group,
-      const RequestBudget& budget = {});
-
-  /// KbView flavour of RecommendGroup.
-  Result<recommend::RecommendationList> RecommendGroup(
       const version::KbView& view, version::VersionId v1,
       version::VersionId v2, profile::Group& group,
       const RequestBudget& budget = {});
 
   /// Serves many users against one version pair: the shared evaluation
   /// is built (or fetched) once, then the per-user stages run — in
-  /// parallel on the engine's pool unless a provenance store is
-  /// attached or parallel_batches is off. results[i] corresponds to
-  /// profiles[i]; profiles must be distinct objects. Fails on the
-  /// first per-user failure.
-  Result<std::vector<recommend::RecommendationList>> RecommendBatch(
-      const version::VersionedKnowledgeBase& vkb, version::VersionId v1,
-      version::VersionId v2,
-      const std::vector<profile::HumanProfile*>& profiles,
-      const RequestBudget& budget = {});
-
-  /// KbView flavour of RecommendBatch.
+  /// parallel on the engine's pool unless parallel_batches is off.
+  /// results[i] corresponds to profiles[i]. Profiles must be distinct
+  /// objects: a null or repeated entry fails the batch with
+  /// kInvalidArgument before admission. Fails on the first per-user
+  /// failure.
   Result<std::vector<recommend::RecommendationList>> RecommendBatch(
       const version::KbView& view, version::VersionId v1,
       version::VersionId v2,
       const std::vector<profile::HumanProfile*>& profiles,
       const RequestBudget& budget = {});
 
-  /// Group flavour of RecommendBatch.
-  Result<std::vector<recommend::RecommendationList>> RecommendGroupBatch(
-      const version::VersionedKnowledgeBase& vkb, version::VersionId v1,
-      version::VersionId v2, const std::vector<profile::Group*>& groups,
-      const RequestBudget& budget = {});
-
-  /// KbView flavour of RecommendGroupBatch.
+  /// Group flavour of RecommendBatch (groups must be distinct objects).
   Result<std::vector<recommend::RecommendationList>> RecommendGroupBatch(
       const version::KbView& view, version::VersionId v1,
       version::VersionId v2, const std::vector<profile::Group*>& groups,
@@ -222,14 +201,10 @@ class RecommendationService {
   /// half: version::RecoverFromDisk restores a KB with its original
   /// content fingerprints, so the keys warmed here are the exact keys
   /// the pre-restart process was serving under.
-  Status WarmStart(const version::VersionedKnowledgeBase& vkb,
-                   version::VersionId v1, version::VersionId v2);
-
-  /// KbView flavour of WarmStart.
   Status WarmStart(const version::KbView& view, version::VersionId v1,
                    version::VersionId v2);
 
-  /// The serving loop's write path: commits `changes` to `vkb` and
+  /// The serving loop's write path: commits `changes` to `view` and
   /// incrementally refreshes the engine so the head transition is warm
   /// — context, every measure report, and the recommender's shared run
   /// state — before this returns. Requests racing the refresh simply
@@ -241,16 +216,6 @@ class RecommendationService {
   /// HealthState::kDegraded — the commit is not in the history, the
   /// engine's pinned last-good state keeps serving — and the next
   /// successful Commit flips it back to kHealthy.
-  Result<version::VersionId> Commit(version::VersionedKnowledgeBase& vkb,
-                                    version::ChangeSet changes,
-                                    std::string author, std::string message,
-                                    uint64_t timestamp = 0,
-                                    const RequestBudget& budget = {});
-
-  /// KbView flavour of Commit. With an internally synchronised view
-  /// (a ShardedKnowledgeBase) the commit never takes the engine's vkb
-  /// lock, so concurrent reads through this service keep flowing
-  /// while it lands.
   Result<version::VersionId> Commit(version::KbView& view,
                                     version::ChangeSet changes,
                                     std::string author, std::string message,
@@ -291,6 +256,53 @@ class RecommendationService {
   Env* env() const { return env_; }
 
  private:
+  /// One admitted read: the admission ticket (holding the in-flight
+  /// slot until destroyed), the effective deadline, and the shared run
+  /// state to serve from, with how it was obtained.
+  struct Admitted {
+    AdmissionController::Ticket ticket;
+    Deadline deadline;
+    std::shared_ptr<const recommend::SharedRunState> state;
+    bool degraded = false;
+    bool brownout = false;
+  };
+
+  /// Serves request `i` of a read from the shared run state, tracing
+  /// into `trace` (nullptr runs untraced).
+  using ServeFn = std::function<Result<recommend::RecommendationList>(
+      const recommend::SharedRunState& state, size_t i,
+      provenance::ProvenanceStore* trace)>;
+
+  /// The prelude of every read: admission of `n` requests on `lane`,
+  /// the pre-build deadline check (an already-expired read does zero
+  /// context builds), and the shared run state — brown-out context
+  /// picked, degraded fallback applied.
+  Result<Admitted> BeginRead(const version::KbView& view,
+                             version::VersionId v1, version::VersionId v2,
+                             AdmissionLane lane, uint64_t n,
+                             const RequestBudget& budget);
+
+  /// The body of Recommend and RecommendGroup.
+  Result<recommend::RecommendationList> Serve(
+      const version::KbView& view, version::VersionId v1,
+      version::VersionId v2, AdmissionLane lane, const RequestBudget& budget,
+      const ServeFn& serve);
+
+  /// The body of RecommendBatch and RecommendGroupBatch: `n` requests
+  /// over one shared run state — on the engine's pool when
+  /// parallel_batches is set (each worker tracing into a scratch store
+  /// that MergeScratchTraces splices back), sequentially tracing in
+  /// place otherwise.
+  Result<std::vector<recommend::RecommendationList>> ServeBatch(
+      const version::KbView& view, version::VersionId v1,
+      version::VersionId v2, AdmissionLane lane, size_t n,
+      const RequestBudget& budget, const ServeFn& serve);
+
+  /// Flags `lists` degraded / brown-out as `admitted` was served,
+  /// counts them in health(), and records their latency since `start`.
+  void Deliver(std::span<recommend::RecommendationList> lists,
+               const Admitted& admitted, uint64_t start);
+
   Result<std::shared_ptr<const SharedEvaluation>> Warm(
       const version::KbView& view, version::VersionId v1,
       version::VersionId v2, const measures::ContextOptions& context,
@@ -331,8 +343,6 @@ class RecommendationService {
   /// `brownout` reports which one, so results get flagged.
   const measures::ContextOptions& PickContext(bool* brownout);
 
-  void CountBrownoutServes(uint64_t n);
-
   /// Splices per-request scratch provenance stores into the attached
   /// store in request order, rebasing record ids — byte-identical to
   /// tracing the requests sequentially in-place. Returns each
@@ -342,7 +352,6 @@ class RecommendationService {
 
   void MarkCommitFailed(const Status& status);
   void MarkCommitSucceeded();
-  void CountDegradedServes(uint64_t n);
 
   ServiceOptions options_;
   Env* env_;  ///< options_.env, or Env::Default(); never nullptr

@@ -4,12 +4,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <utility>
 
 #include "common/result.h"
 #include "rdf/knowledge_base.h"
 #include "version/version.h"
-#include "version/versioned_kb.h"
 
 namespace evorec::version {
 
@@ -17,9 +15,15 @@ namespace evorec::version {
 /// EvaluationEngine / RecommendationService need to serve and commit —
 /// cheap fingerprint handles for cache keys, pinned immutable
 /// snapshots, archived change sets, and the head pointer. Implemented
-/// by SingleKbView (one VersionedKnowledgeBase behind the engine's
-/// lock) and ShardedKnowledgeBase (N segmented shards, internally
-/// synchronised, so readers never block on the writer).
+/// by VersionedKnowledgeBase (one linear history) and
+/// ShardedKnowledgeBase (N segmented shards).
+///
+/// Thread-safety contract, shared by every implementation: each member
+/// below guards its own state, so any number of concurrent readers may
+/// run alongside one committer. Commits are serialised by the caller —
+/// one committer at a time. Readers never receive references into
+/// mutable state: SharedSnapshot pins an immutable copy, so a pinned
+/// version stays readable while later commits land.
 class KbView {
  public:
   virtual ~KbView() = default;
@@ -44,69 +48,19 @@ class KbView {
   virtual Result<ChangeSet> Changes(VersionId v) const = 0;
 
   /// Applies `changes` on top of the head, creating a new version.
+  /// Returns the new version id.
   virtual Result<VersionId> Commit(ChangeSet changes, std::string author,
                                    std::string message,
-                                   uint64_t timestamp) = 0;
+                                   uint64_t timestamp = 0) = 0;
 
-  /// True when the implementation serialises its own internal state.
-  /// The engine then calls this view concurrently from readers and the
-  /// committer *without* wrapping calls in its vkb lock — the
-  /// concurrency contract "readers never block on the writer" depends
-  /// on the implementation pinning immutable snapshots instead of
-  /// handing out references into mutable state.
-  virtual bool InternallySynchronized() const = 0;
-};
-
-/// Adapter exposing one VersionedKnowledgeBase as a KbView. Not
-/// internally synchronised: the engine serialises every call under its
-/// vkb lock, exactly as it always did for a bare
-/// VersionedKnowledgeBase. Stack-constructed per call; the wrapped KB
-/// must outlive the adapter.
-class SingleKbView final : public KbView {
- public:
-  /// Read-write adapter (Commit allowed).
-  explicit SingleKbView(VersionedKnowledgeBase& vkb)
-      : vkb_(&vkb), mutable_vkb_(&vkb) {}
-  /// Read-only adapter (Commit fails with FAILED_PRECONDITION).
-  explicit SingleKbView(const VersionedKnowledgeBase& vkb) : vkb_(&vkb) {}
-
-  size_t version_count() const override { return vkb_->version_count(); }
-  VersionId head() const override { return vkb_->head(); }
-
-  Result<SnapshotHandle> Handle(VersionId v) const override {
-    return vkb_->Handle(v);
-  }
-
-  Result<std::shared_ptr<const rdf::KnowledgeBase>> SharedSnapshot(
-      VersionId v) const override {
-    auto kb = vkb_->Snapshot(v);
-    if (!kb.ok()) return kb.status();
-    // A segmented store copy shares frozen segments — O(#segments),
-    // not O(triples) — and the copy detaches the snapshot from the
-    // vkb's lazy cache so the caller may hold it across eviction.
-    return std::make_shared<const rdf::KnowledgeBase>(**kb);
-  }
-
-  Result<ChangeSet> Changes(VersionId v) const override {
-    return vkb_->Changes(v);
-  }
-
-  Result<VersionId> Commit(ChangeSet changes, std::string author,
-                           std::string message, uint64_t timestamp) override {
-    if (mutable_vkb_ == nullptr) {
-      return FailedPreconditionError(
-          "KbView wraps a const VersionedKnowledgeBase; commits need the "
-          "mutable adapter");
-    }
-    return mutable_vkb_->Commit(std::move(changes), std::move(author),
-                                std::move(message), timestamp);
-  }
-
-  bool InternallySynchronized() const override { return false; }
-
- private:
-  const VersionedKnowledgeBase* vkb_;
-  VersionedKnowledgeBase* mutable_vkb_ = nullptr;
+ protected:
+  // Implementations decide their own copy/move semantics; protected so
+  // a KB is never sliced through the interface.
+  KbView() = default;
+  KbView(const KbView&) = default;
+  KbView& operator=(const KbView&) = default;
+  KbView(KbView&&) = default;
+  KbView& operator=(KbView&&) = default;
 };
 
 }  // namespace evorec::version

@@ -35,10 +35,10 @@ namespace evorec::version {
 /// restores global SPO order, so scans over a union snapshot are
 /// byte-identical to the same scans over an unsharded store.
 ///
-/// Concurrency contract: all public methods are internally
-/// synchronised (InternallySynchronized() == true) with the
-/// restriction that commits are serialised by the caller — one
-/// committer at a time, any number of concurrent readers. The shared
+/// Concurrency contract: the KbView one — all public methods are
+/// internally synchronised, with the restriction that commits are
+/// serialised by the caller — one committer at a time, any number of
+/// concurrent readers. The shared
 /// dictionary must only be interned into by the committer thread
 /// (intern terms before Commit; readers resolve ids against the
 /// dictionary snapshot-free because interning is append-only).
@@ -83,8 +83,8 @@ class ShardedKnowledgeBase final : public KbView {
       VersionId v) const override;
   Result<ChangeSet> Changes(VersionId v) const override;
   Result<VersionId> Commit(ChangeSet changes, std::string author,
-                           std::string message, uint64_t timestamp) override;
-  bool InternallySynchronized() const override { return true; }
+                           std::string message,
+                           uint64_t timestamp = 0) override;
 
   /// Commit metadata for `v`.
   Result<VersionInfo> Info(VersionId v) const;

@@ -12,6 +12,28 @@ namespace evorec::version {
 /// Dense version identifier; version 0 is the base snapshot.
 using VersionId = uint32_t;
 
+/// A cheap, copyable reference to one version of a KbView
+/// (version/kb_view.h) — the cache-key currency of the engine
+/// layer. The fingerprint is a hash chained over the base snapshot
+/// and every committed change set, folding the *serialised term
+/// content* of each triple in TermId order. Equal fingerprints
+/// therefore denote snapshots with identical content AND an identical
+/// TermId mapping — exactly the equivalence cached evaluations need,
+/// since their consumers (profiles, reports) speak TermIds. Distinct
+/// knowledge-base instances share fingerprints when their
+/// histories are identical (same operations, same intern order, e.g.
+/// regenerated from one seed); content-equal KBs interned in a
+/// different order fingerprint differently, which is a safe cache
+/// miss, never a wrong hit.
+struct SnapshotHandle {
+  VersionId id = 0;
+  uint64_t fingerprint = 0;
+
+  friend bool operator==(const SnapshotHandle& a, const SnapshotHandle& b) {
+    return a.fingerprint == b.fingerprint;
+  }
+};
+
 /// Commit metadata attached to each version — the raw material for
 /// provenance/transparency (paper §III.b: who changed what and when).
 struct VersionInfo {

@@ -109,21 +109,14 @@ rdf::KnowledgeBase ApplyChanges(rdf::KnowledgeBase base,
 
 }  // namespace
 
-Result<VersionId> VersionedKnowledgeBase::Commit(const ChangeSet& changes,
+Result<VersionId> VersionedKnowledgeBase::Commit(ChangeSet changes,
                                                  std::string author,
                                                  std::string message,
                                                  uint64_t timestamp) {
-  return Commit(ChangeSet(changes), std::move(author), std::move(message),
-                timestamp);
-}
-
-Result<VersionId> VersionedKnowledgeBase::Commit(ChangeSet&& changes,
-                                                 std::string author,
-                                                 std::string message,
-                                                 uint64_t timestamp) {
+  // Single committer: it is the only writer of the history, so it
+  // reads the head state without the lock and builds the new version
+  // outside it; readers only see the version once it is published.
   const VersionId new_id = static_cast<VersionId>(infos_.size());
-  const size_t additions = changes.additions.size();
-  const size_t removals = changes.removals.size();
   const uint64_t fingerprint =
       ChainFingerprint(fingerprints_.back(), changes);
 
@@ -150,25 +143,17 @@ Result<VersionId> VersionedKnowledgeBase::Commit(ChangeSet&& changes,
     logged_terms_ = dict_size;
   }
 
-  switch (policy_) {
-    case ArchivePolicy::kFullMaterialization:
-      stores_.push_back(ApplyChanges(stores_.back(), changes));
-      break;
-    case ArchivePolicy::kDeltaChain:
-      change_sets_.push_back(std::move(changes));
-      break;
-    case ArchivePolicy::kHybridCheckpoint: {
-      if (new_id % checkpoint_interval_ == 0) {
-        // Materialise this version once and keep it as a checkpoint;
-        // reuse the previous checkpoint (or base) as the replay start.
-        auto materialized = MaterializeUncached(new_id - 1);
-        if (!materialized.ok()) return materialized.status();
-        checkpoints_.emplace(
-            new_id, ApplyChanges(std::move(materialized).value(), changes));
-      }
-      change_sets_.push_back(std::move(changes));
-      break;
-    }
+  // The materialised store of the new version: every version under
+  // full materialisation; hybrid checkpoints only. A checkpoint
+  // replays from the previous checkpoint (or the base).
+  std::optional<rdf::KnowledgeBase> materialized;
+  if (policy_ == ArchivePolicy::kFullMaterialization) {
+    materialized = ApplyChanges(stores_.back(), changes);
+  } else if (policy_ == ArchivePolicy::kHybridCheckpoint &&
+             new_id % checkpoint_interval_ == 0) {
+    auto previous = MaterializeUncached(new_id - 1);
+    if (!previous.ok()) return previous.status();
+    materialized = ApplyChanges(std::move(previous).value(), changes);
   }
 
   VersionInfo info;
@@ -176,14 +161,35 @@ Result<VersionId> VersionedKnowledgeBase::Commit(ChangeSet&& changes,
   info.author = std::move(author);
   info.message = std::move(message);
   info.timestamp = timestamp;
-  info.additions = additions;
-  info.removals = removals;
+  info.additions = changes.additions.size();
+  info.removals = changes.removals.size();
+
+  std::lock_guard<std::mutex> lock(*mu_);
+  if (policy_ == ArchivePolicy::kFullMaterialization) {
+    stores_.push_back(std::move(*materialized));
+  } else {
+    if (materialized.has_value()) {
+      checkpoints_.emplace(new_id, std::move(*materialized));
+    }
+    change_sets_.push_back(std::move(changes));
+  }
   infos_.push_back(std::move(info));
   fingerprints_.push_back(fingerprint);
   return new_id;
 }
 
+size_t VersionedKnowledgeBase::version_count() const {
+  std::lock_guard<std::mutex> lock(*mu_);
+  return infos_.size();
+}
+
+VersionId VersionedKnowledgeBase::head() const {
+  std::lock_guard<std::mutex> lock(*mu_);
+  return static_cast<VersionId>(infos_.size() - 1);
+}
+
 Result<SnapshotHandle> VersionedKnowledgeBase::Handle(VersionId v) const {
+  std::lock_guard<std::mutex> lock(*mu_);
   if (v >= infos_.size()) {
     return NotFoundError("unknown version " + std::to_string(v));
   }
@@ -194,6 +200,7 @@ Result<SnapshotHandle> VersionedKnowledgeBase::Handle(VersionId v) const {
 }
 
 Result<VersionInfo> VersionedKnowledgeBase::Info(VersionId v) const {
+  std::lock_guard<std::mutex> lock(*mu_);
   if (v >= infos_.size()) {
     return NotFoundError("unknown version " + std::to_string(v));
   }
@@ -201,6 +208,7 @@ Result<VersionInfo> VersionedKnowledgeBase::Info(VersionId v) const {
 }
 
 Result<ChangeSet> VersionedKnowledgeBase::Changes(VersionId v) const {
+  std::lock_guard<std::mutex> lock(*mu_);
   if (v >= infos_.size()) {
     return NotFoundError("unknown version " + std::to_string(v));
   }
@@ -221,6 +229,12 @@ Result<ChangeSet> VersionedKnowledgeBase::Changes(VersionId v) const {
 }
 
 Result<rdf::KnowledgeBase> VersionedKnowledgeBase::MaterializeUncached(
+    VersionId v) const {
+  std::lock_guard<std::mutex> lock(*mu_);
+  return MaterializeLocked(v);
+}
+
+Result<rdf::KnowledgeBase> VersionedKnowledgeBase::MaterializeLocked(
     VersionId v) const {
   if (v >= infos_.size()) {
     return NotFoundError("unknown version " + std::to_string(v));
@@ -257,6 +271,20 @@ Result<rdf::KnowledgeBase> VersionedKnowledgeBase::MaterializeUncached(
 
 Result<const rdf::KnowledgeBase*> VersionedKnowledgeBase::Snapshot(
     VersionId v) const {
+  std::lock_guard<std::mutex> lock(*mu_);
+  return SnapshotLocked(v);
+}
+
+Result<std::shared_ptr<const rdf::KnowledgeBase>>
+VersionedKnowledgeBase::SharedSnapshot(VersionId v) const {
+  std::lock_guard<std::mutex> lock(*mu_);
+  auto kb = SnapshotLocked(v);
+  if (!kb.ok()) return kb.status();
+  return std::make_shared<const rdf::KnowledgeBase>(**kb);
+}
+
+Result<const rdf::KnowledgeBase*> VersionedKnowledgeBase::SnapshotLocked(
+    VersionId v) const {
   if (v >= infos_.size()) {
     return NotFoundError("unknown version " + std::to_string(v));
   }
@@ -274,14 +302,17 @@ Result<const rdf::KnowledgeBase*> VersionedKnowledgeBase::Snapshot(
   }
   auto it = cache_.find(v);
   if (it == cache_.end()) {
-    auto materialized = MaterializeUncached(v);
+    auto materialized = MaterializeLocked(v);
     if (!materialized.ok()) return materialized.status();
     it = cache_.emplace(v, std::move(materialized).value()).first;
   }
   return &it->second;
 }
 
-void VersionedKnowledgeBase::EvictSnapshotCache() const { cache_.clear(); }
+void VersionedKnowledgeBase::EvictSnapshotCache() const {
+  std::lock_guard<std::mutex> lock(*mu_);
+  cache_.clear();
+}
 
 size_t VersionedKnowledgeBase::StorageBytes() const {
   // Asks each store for its actual footprint (only the permutation
@@ -291,6 +322,7 @@ size_t VersionedKnowledgeBase::StorageBytes() const {
   // holder, which is how the archive-policy comparison has always
   // been scored (full materialization pays per version even though
   // the segmented store shares the bytes underneath).
+  std::lock_guard<std::mutex> lock(*mu_);
   size_t bytes = 0;
   for (const rdf::KnowledgeBase& kb : stores_) {
     bytes += kb.store().MemoryBytes();
@@ -315,6 +347,7 @@ size_t VersionedKnowledgeBase::StorageBytes(
   // share frozen segments, and the shards of a ShardedKnowledgeBase
   // share them with the pinned union snapshots — each immutable run
   // is billed once across every store probed with the same `seen`.
+  std::lock_guard<std::mutex> lock(*mu_);
   size_t bytes = 0;
   for (const rdf::KnowledgeBase& kb : stores_) {
     bytes += kb.store().MemoryBytesDedup(seen);

@@ -2,6 +2,7 @@
 #define EVOREC_VERSION_VERSIONED_KB_H_
 
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -11,39 +12,29 @@
 #include "common/result.h"
 #include "rdf/knowledge_base.h"
 #include "storage/commit_log.h"
+#include "version/kb_view.h"
 #include "version/version.h"
 
 namespace evorec::version {
-
-/// A cheap, copyable reference to one version of a
-/// VersionedKnowledgeBase — the cache-key currency of the engine
-/// layer. The fingerprint is a hash chained over the base snapshot
-/// and every committed change set, folding the *serialised term
-/// content* of each triple in TermId order. Equal fingerprints
-/// therefore denote snapshots with identical content AND an identical
-/// TermId mapping — exactly the equivalence cached evaluations need,
-/// since their consumers (profiles, reports) speak TermIds. Distinct
-/// VersionedKnowledgeBase instances share fingerprints when their
-/// histories are identical (same operations, same intern order, e.g.
-/// regenerated from one seed); content-equal KBs interned in a
-/// different order fingerprint differently, which is a safe cache
-/// miss, never a wrong hit.
-struct SnapshotHandle {
-  VersionId id = 0;
-  uint64_t fingerprint = 0;
-
-  friend bool operator==(const SnapshotHandle& a, const SnapshotHandle& b) {
-    return a.fingerprint == b.fingerprint;
-  }
-};
 
 /// A linear-history versioned knowledge base. All versions share one
 /// term dictionary so TermIds are stable across versions — the
 /// invariant every evolution measure depends on.
 ///
 /// Storage follows the configured ArchivePolicy; snapshots are
-/// materialised lazily and cached. Not thread-safe.
-class VersionedKnowledgeBase {
+/// materialised lazily and cached.
+///
+/// Thread safety follows the KbView contract: every reader below
+/// (the KbView members, Info, Snapshot, MaterializeUncached,
+/// EvictSnapshotCache, StorageBytes) takes the KB's internal lock, so
+/// any number of readers may run alongside one committer. Commits are
+/// serialised by the caller; Commit prepares the new version outside
+/// the lock and publishes it under the lock. Concurrent readers should
+/// use SharedSnapshot: the pointer Snapshot returns is shared with
+/// every other caller, and first-use index builds on it are not
+/// synchronised. Interning into dictionary() and attaching a commit log
+/// belong to the committer thread.
+class VersionedKnowledgeBase final : public KbView {
  public:
   /// Creates a KB whose version 0 is empty. `checkpoint_interval`
   /// applies to kHybridCheckpoint only (a full snapshot every that
@@ -69,19 +60,18 @@ class VersionedKnowledgeBase {
 
   VersionedKnowledgeBase(const VersionedKnowledgeBase&) = delete;
   VersionedKnowledgeBase& operator=(const VersionedKnowledgeBase&) = delete;
+  /// Moves are not synchronised: move a KB only while no other thread
+  /// uses it.
   VersionedKnowledgeBase(VersionedKnowledgeBase&&) = default;
   VersionedKnowledgeBase& operator=(VersionedKnowledgeBase&&) = default;
 
   /// Applies `changes` on top of the head version, creating a new
   /// version. Returns the new version id. Empty change sets are legal
-  /// (they record a no-op commit).
-  Result<VersionId> Commit(const ChangeSet& changes, std::string author,
-                           std::string message, uint64_t timestamp = 0);
-
-  /// Move overload: archives `changes` without copying the triple
-  /// vectors (the common case for generated or streamed change sets).
-  Result<VersionId> Commit(ChangeSet&& changes, std::string author,
-                           std::string message, uint64_t timestamp = 0);
+  /// (they record a no-op commit). Pass an rvalue to archive the
+  /// triple vectors without copying them.
+  Result<VersionId> Commit(ChangeSet changes, std::string author,
+                           std::string message,
+                           uint64_t timestamp = 0) override;
 
   /// Attaches an append-only commit log: every subsequent Commit
   /// first appends a storage::DeltaRecord — write-ahead, so a failed
@@ -101,28 +91,33 @@ class VersionedKnowledgeBase {
   storage::CommitLog* commit_log() const { return log_; }
 
   /// Number of versions (head id + 1).
-  size_t version_count() const { return infos_.size(); }
+  size_t version_count() const override;
 
   /// Id of the latest version.
-  VersionId head() const {
-    return static_cast<VersionId>(infos_.size() - 1);
-  }
+  VersionId head() const override;
 
   /// Commit metadata for `v`.
   Result<VersionInfo> Info(VersionId v) const;
 
   /// The change set that produced `v` from `v-1`. Version 0 has no
   /// change set.
-  Result<ChangeSet> Changes(VersionId v) const;
+  Result<ChangeSet> Changes(VersionId v) const override;
 
-  /// Materialised snapshot of version `v` (cached; the reference stays
-  /// valid until EvictSnapshotCache or destruction).
+  /// Materialised snapshot of version `v` (cached; the pointer stays
+  /// valid until EvictSnapshotCache, the next commit under
+  /// kFullMaterialization, or destruction).
   Result<const rdf::KnowledgeBase*> Snapshot(VersionId v) const;
+
+  /// A private segment-sharing copy of Snapshot(v): O(#segments), not
+  /// O(triples), and detached from the snapshot cache, so the caller
+  /// may hold it across commits and EvictSnapshotCache.
+  Result<std::shared_ptr<const rdf::KnowledgeBase>> SharedSnapshot(
+      VersionId v) const override;
 
   /// Cheap handle to version `v` for cache keys — O(1), never
   /// materialises the snapshot (fingerprints are maintained
   /// incrementally at commit time).
-  Result<SnapshotHandle> Handle(VersionId v) const;
+  Result<SnapshotHandle> Handle(VersionId v) const override;
 
   /// Reconstructs `v` without touching the cache — used by benches to
   /// measure reconstruction cost under kDeltaChain.
@@ -160,6 +155,10 @@ class VersionedKnowledgeBase {
                          size_t checkpoint_interval,
                          std::optional<uint64_t> base_fingerprint);
 
+  /// Snapshot / MaterializeUncached with `mu_` already held.
+  Result<const rdf::KnowledgeBase*> SnapshotLocked(VersionId v) const;
+  Result<rdf::KnowledgeBase> MaterializeLocked(VersionId v) const;
+
   /// Content hash of one term (memoized per TermId; terms are
   /// immutable once interned).
   uint64_t TermContentHash(rdf::TermId id);
@@ -172,12 +171,14 @@ class VersionedKnowledgeBase {
   size_t checkpoint_interval_;
   std::shared_ptr<rdf::Dictionary> dictionary_;
   rdf::Vocabulary vocabulary_;
+  // Guards the version history below (infos_ through cache_). Held by
+  // pointer so the KB stays movable. The committer reads the history
+  // without it (it is the only writer) and takes it to publish.
+  std::unique_ptr<std::mutex> mu_ = std::make_unique<std::mutex>();
   std::vector<VersionInfo> infos_;
   // fingerprints_[v] chains the base-content hash with every change
   // set up to v (see SnapshotHandle).
   std::vector<uint64_t> fingerprints_;
-  // Memoized per-term content hashes (0 = not yet computed).
-  std::vector<uint64_t> term_hashes_;
   // kFullMaterialization: stores_[v] is version v.
   // kDeltaChain / kHybridCheckpoint: stores_[0] is the base; later
   // versions live in change_sets_ (and, for hybrid, checkpoints_).
@@ -187,6 +188,9 @@ class VersionedKnowledgeBase {
   // of checkpoint_interval_.
   std::unordered_map<VersionId, rdf::KnowledgeBase> checkpoints_;
   mutable std::unordered_map<VersionId, rdf::KnowledgeBase> cache_;
+  // Committer-only state, outside the lock. Memoized per-term content
+  // hashes (0 = not yet computed).
+  std::vector<uint64_t> term_hashes_;
   // Durability (both unused until AttachCommitLog): the attached log
   // and the dictionary watermark of the last appended record — terms
   // with ids >= logged_terms_ still need shipping.

@@ -248,7 +248,7 @@ TEST(DegradedServiceTest, ReadersNeverGoDarkWhileCommitsFlap) {
 // Regression: RecommendationList::degraded must propagate through
 // every RecommendBatch fan-out flavour, not just the single-request
 // path — the parallel scratch-provenance batch, the plain parallel
-// ServeAll batch, and the group-batch fan-out all flag their results
+// batch, and the group-batch fan-out all flag their results
 // while degraded, and all stop flagging after recovery.
 TEST(DegradedServiceTest, BatchFanOutPathsPropagateDegradedFlag) {
   DegradedFixture fx;
@@ -315,7 +315,7 @@ TEST(DegradedServiceTest, BatchFanOutPathsPropagateDegradedFlag) {
     EXPECT_TRUE(list.degraded);
   }
 
-  // Plain parallel ServeAll fan-out (no provenance attached).
+  // Plain parallel fan-out (no provenance attached).
   service.AttachProvenance(nullptr);
   batch = service.RecommendBatch(fx.vkb, 0, 1, pointers);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();

@@ -310,6 +310,43 @@ TEST(RecommendationServiceTest, RejectsNullProfiles) {
   EXPECT_FALSE(batch.ok());
 }
 
+// A repeated entry would have two pool workers deliver to one profile
+// (or group) at once — a race on its seen-history — so batches reject
+// it before admission, before any context build, and before anyone's
+// seen-history changes.
+TEST(RecommendationServiceTest, RejectsRepeatedProfilesBeforeAdmission) {
+  workload::Scenario scenario = SmallScenario();
+  measures::MeasureRegistry registry = measures::DefaultRegistry();
+  ServiceOptions options;
+  options.overload.admission_enabled = true;
+  RecommendationService service(registry, options);
+  profile::HumanProfile alice = scenario.end_user;
+  profile::HumanProfile bob = scenario.end_user;
+  auto batch =
+      service.RecommendBatch(*scenario.vkb, 0, 1, {&alice, &bob, &alice});
+  ASSERT_FALSE(batch.ok());
+  EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.admission_stats().admitted(), 0u);
+  EXPECT_EQ(service.engine_stats().context_misses, 0u);
+  EXPECT_EQ(alice.seen_count(), scenario.end_user.seen_count());
+}
+
+TEST(RecommendationServiceTest, RejectsRepeatedGroupsBeforeAdmission) {
+  workload::Scenario scenario = SmallScenario();
+  measures::MeasureRegistry registry = measures::DefaultRegistry();
+  ServiceOptions options;
+  options.overload.admission_enabled = true;
+  RecommendationService service(registry, options);
+  profile::Group curators = scenario.curators;
+  profile::Group reviewers = scenario.curators;
+  auto batch = service.RecommendGroupBatch(*scenario.vkb, 0, 1,
+                                           {&curators, &reviewers, &curators});
+  ASSERT_FALSE(batch.ok());
+  EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.admission_stats().admitted(), 0u);
+  EXPECT_EQ(service.engine_stats().context_misses, 0u);
+}
+
 TEST(RecommendationServiceTest, UnknownVersionFails) {
   workload::Scenario scenario = SmallScenario();
   measures::MeasureRegistry registry = measures::DefaultRegistry();

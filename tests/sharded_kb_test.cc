@@ -102,8 +102,7 @@ TEST_P(ShardedKbTest, UnionSnapshotsMatchUnshardedStore) {
   const std::vector<ChangeSet> history = RandomHistory(17, 8);
 
   VersionedKnowledgeBase single;
-  SingleKbView single_view(single);
-  ReplayHistory(single_view, history);
+  ReplayHistory(single, history);
 
   ShardedKnowledgeBase sharded({.shards = GetParam()});
   ReplayHistory(sharded, history);
@@ -112,7 +111,7 @@ TEST_P(ShardedKbTest, UnionSnapshotsMatchUnshardedStore) {
   ASSERT_EQ(sharded.head(), single.head());
   for (VersionId v = 0; v <= sharded.head(); ++v) {
     auto sharded_snapshot = sharded.SharedSnapshot(v);
-    auto single_snapshot = single_view.SharedSnapshot(v);
+    auto single_snapshot = single.SharedSnapshot(v);
     ASSERT_TRUE(sharded_snapshot.ok()) << sharded_snapshot.status().ToString();
     ASSERT_TRUE(single_snapshot.ok());
     ASSERT_NO_FATAL_FAILURE(ExpectIdenticalScans((*sharded_snapshot)->store(),
