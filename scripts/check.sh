@@ -26,6 +26,11 @@
 # (PosixEnv). Everything else must go through evorec::Env, or fault
 # injection and the crash-point torture harness silently lose
 # coverage of those bytes.
+#
+# And the single-flight boundary: std::promise/std::shared_future are
+# allowed in src/ only inside src/common/single_flight.h. Every memo
+# goes through SingleFlightCache, so its build/wait/failure policy
+# stays in one place.
 
 set -eu
 
@@ -53,6 +58,16 @@ raw_io=$(grep -rnE '[^_[:alnum:]](fopen|fwrite|fread|fsync|fdatasync|fclose|ftru
 if [ -n "${raw_io}" ]; then
   echo "error: raw file I/O outside src/common/env.cc — route it through evorec::Env:" >&2
   echo "${raw_io}" >&2
+  exit 1
+fi
+
+# --- Single-flight guard (cheap; runs before the build) ---
+hand_rolled=$(grep -rnE 'std::(promise|shared_future)' "${repo_root}/src" \
+                --include='*.h' --include='*.cc' \
+              | grep -v 'src/common/single_flight\.h' || true)
+if [ -n "${hand_rolled}" ]; then
+  echo "error: std::promise/std::shared_future outside src/common/single_flight.h — use SingleFlightCache:" >&2
+  echo "${hand_rolled}" >&2
   exit 1
 fi
 

@@ -1,230 +1,147 @@
 #include "engine/artefact_cache.h"
 
-#include <chrono>
 #include <utility>
 
 namespace evorec::engine {
 
 ArtefactCache::ArtefactCache(size_t capacity, ThreadPool* pool)
-    : capacity_(capacity == 0 ? 1 : capacity),
-      pool_(pool),
+    : pool_(pool),
+      bases_(capacity == 0 ? 1 : capacity),
       betweenness_runs_(std::make_shared<std::atomic<uint64_t>>(0)) {}
+
+ArtefactCache::Cell ArtefactCache::Base::CellOr(uint64_t options_fp,
+                                                Cell install) {
+  std::lock_guard<std::mutex> lock(mu);
+  auto it = cells.find(options_fp);
+  if (it != cells.end()) return it->second;
+  if (install != nullptr) cells.emplace(options_fp, install);
+  return install;
+}
+
+measures::VersionArtefacts ArtefactCache::Bundle(const Base& base,
+                                                 Cell cell) {
+  measures::VersionArtefacts artefacts = base.parts;
+  artefacts.betweenness = std::move(cell);
+  return artefacts;
+}
 
 Result<measures::VersionArtefacts> ArtefactCache::Get(
     uint64_t fingerprint, const measures::ContextOptions& options,
     const Materializer& materialize) {
   Result<SharedBase> base = GetBase(fingerprint, materialize);
   if (!base.ok()) return base.status();
-
-  measures::VersionArtefacts artefacts;
-  artefacts.snapshot = (*base)->snapshot;
-  artefacts.view = (*base)->view;
-  artefacts.graph = (*base)->graph;
-  artefacts.betweenness = CellFor(fingerprint, *base, options);
-  return artefacts;
+  return Bundle(**base, CellFor(fingerprint, **base, options));
 }
 
 Result<ArtefactCache::SharedBase> ArtefactCache::GetBase(
     uint64_t fingerprint, const Materializer& materialize) {
-  std::promise<Result<SharedBase>> promise;
-  std::shared_future<Result<SharedBase>> future;
-  bool creator = false;
-  uint64_t my_generation = 0;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    auto it = entries_.find(fingerprint);
-    if (it != entries_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second.lru_pos);  // touch
-      future = it->second.base;
-      const bool ready =
-          future.wait_for(std::chrono::seconds(0)) ==
-          std::future_status::ready;
-      ready ? ++stats_.hits : ++stats_.coalesced;
-    } else {
-      ++stats_.misses;
-      creator = true;
-      my_generation = ++generation_;
-      future = promise.get_future().share();
-      lru_.push_front(fingerprint);
-      Entry entry;
-      entry.base = future;
-      entry.generation = my_generation;
-      entry.lru_pos = lru_.begin();
-      entries_.emplace(fingerprint, std::move(entry));
-      while (lru_.size() > capacity_) {
-        // Never evict the entry we just inserted (it is at the front;
-        // capacity_ >= 1 guarantees the back is a different key).
-        entries_.erase(lru_.back());
-        lru_.pop_back();
-        ++stats_.evictions;
-      }
-    }
-  }
-
-  if (creator) {
-    // Build outside the lock: other fingerprints stay servable and
-    // same-key callers wait on the future.
-    auto built = [&]() -> Result<SharedBase> {
-      auto snapshot = materialize();
-      if (!snapshot.ok()) return snapshot.status();
-      if (*snapshot == nullptr) {
-        return InvalidArgumentError(
-            "artefact materializer returned a null snapshot");
-      }
-      auto base = std::make_shared<BaseArtefacts>();
-      base->snapshot = std::move(*snapshot);
-      base->view = std::make_shared<const schema::SchemaView>(
-          schema::SchemaView::Build(*base->snapshot));
-      base->graph = std::make_shared<const graph::SchemaGraph>(
-          graph::SchemaGraph::Build(*base->view, base->view->classes()));
-      return SharedBase(std::move(base));
-    }();
+  return bases_.GetOrBuild(fingerprint, [&]() -> Result<SharedBase> {
+    auto snapshot = materialize();
     {
       std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.snapshot_loads;
-      if (built.ok()) {
-        ++stats_.view_builds;
-        ++stats_.graph_builds;
-      } else {
-        // Failed builds are not cached: drop our entry (generation
-        // check: it may have been evicted and re-created meanwhile) so
-        // a later request retries.
-        auto it = entries_.find(fingerprint);
-        if (it != entries_.end() && it->second.generation == my_generation) {
-          lru_.erase(it->second.lru_pos);
-          entries_.erase(it);
-        }
-      }
+      ++builds_.snapshot_loads;
     }
-    promise.set_value(built);
-    if (!built.ok()) return built.status();
-  }
-
-  return future.get();
+    if (!snapshot.ok()) return snapshot.status();
+    if (*snapshot == nullptr) {
+      return InvalidArgumentError(
+          "artefact materializer returned a null snapshot");
+    }
+    auto base = std::make_shared<Base>();
+    base->parts = measures::MakeVersionArtefacts(std::move(*snapshot), {});
+    base->parts.betweenness = nullptr;  // cells are per options: CellFor
+    std::lock_guard<std::mutex> lock(mu_);
+    ++builds_.view_builds;
+    ++builds_.graph_builds;
+    return base;
+  });
 }
 
 Result<measures::VersionArtefacts> ArtefactCache::Refresh(
     uint64_t from_fingerprint, uint64_t to_fingerprint,
     const measures::ContextOptions& options, const Materializer& materialize_to,
     double churn_threshold, graph::BetweennessAdvanceStats* advance_stats) {
-  // Capture the predecessor's state first (it may be evicted by the
-  // successor's insertion below — capacity 1 still advances).
-  SharedBase old_base;
-  std::shared_ptr<const measures::LazyBetweenness> old_cell;
-  const uint64_t options_fp = measures::ContextOptionsFingerprint(options);
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++incremental_.refreshes;
-    auto it = entries_.find(from_fingerprint);
-    if (it != entries_.end() &&
-        it->second.base.wait_for(std::chrono::seconds(0)) ==
-            std::future_status::ready) {
-      Result<SharedBase> ready = it->second.base.get();
-      if (ready.ok()) old_base = *ready;
-      auto cell = it->second.betweenness.find(options_fp);
-      if (cell != it->second.betweenness.end()) old_cell = cell->second;
-    }
   }
+  // Capture the predecessor's state first (it may be evicted by the
+  // successor's insertion below — capacity 1 still advances).
+  const uint64_t options_fp = measures::ContextOptionsFingerprint(options);
+  const SharedBase old_base = bases_.Peek(from_fingerprint).value_or(nullptr);
+  const Cell old_cell =
+      old_base != nullptr ? old_base->CellOr(options_fp) : nullptr;
 
   Result<SharedBase> base = GetBase(to_fingerprint, materialize_to);
   if (!base.ok()) return base.status();
-
-  measures::VersionArtefacts artefacts;
-  artefacts.snapshot = (*base)->snapshot;
-  artefacts.view = (*base)->view;
-  artefacts.graph = (*base)->graph;
+  Base& to = **base;
 
   // Reuse a cell someone already installed for this (version, options)
   // — it is either the advance below from a racing refresh, or an
   // ordinary lazy cell; both are observationally identical.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(to_fingerprint);
-    if (it != entries_.end()) {
-      auto cell = it->second.betweenness.find(options_fp);
-      if (cell != it->second.betweenness.end()) {
-        artefacts.betweenness = cell->second;
-        return artefacts;
-      }
-    }
-  }
+  if (Cell cell = to.CellOr(options_fp)) return Bundle(to, std::move(cell));
 
   const graph::BetweennessPartials* previous =
       old_cell != nullptr ? old_cell->Partials() : nullptr;
-  if (old_base == nullptr || previous == nullptr) {
+  if (previous == nullptr) {
     // Nothing to advance from (predecessor cold, evicted, or sampled
     // mode): the successor starts lazy, exactly like a Get.
-    std::lock_guard<std::mutex> lock(mu_);
-    ++incremental_.stayed_lazy;
-  } else {
-    graph::BetweennessAdvanceStats stats;
-    graph::BetweennessPartials advanced = graph::BetweennessAdvance(
-        old_base->graph->graph(), *previous, (*base)->graph->graph(),
-        churn_threshold, &stats, pool_);
-    if (advance_stats != nullptr) *advance_stats = stats;
-    auto cell = std::make_shared<const measures::LazyBetweenness>(
-        (*base)->graph, options, std::move(advanced));
     {
       std::lock_guard<std::mutex> lock(mu_);
-      stats.incremental ? ++incremental_.advanced
-                        : ++incremental_.full_recomputes;
-      incremental_.touched_nodes += stats.touched_nodes;
-      incremental_.affected_sources += stats.affected_sources;
-      incremental_.recomputed_sources += stats.recomputed_sources;
-      incremental_.total_sources += (*base)->graph->graph().node_count();
-      auto it = entries_.find(to_fingerprint);
-      if (it != entries_.end()) {
-        auto existing = it->second.betweenness.find(options_fp);
-        if (existing == it->second.betweenness.end()) {
-          it->second.betweenness.emplace(options_fp, cell);
-        } else {
-          cell = existing->second;  // a racer won; results are identical
-        }
-      }
+      ++incremental_.stayed_lazy;
     }
-    if (!stats.incremental) {
-      // The fallback inside the advance IS a full Brandes run — keep
-      // the headline counter honest.
-      betweenness_runs_->fetch_add(1, std::memory_order_relaxed);
-    }
-    artefacts.betweenness = std::move(cell);
-    return artefacts;
+    return Bundle(to, CellFor(to_fingerprint, to, options));
   }
 
-  artefacts.betweenness = CellFor(to_fingerprint, *base, options);
-  return artefacts;
+  graph::BetweennessAdvanceStats stats;
+  graph::BetweennessPartials advanced = graph::BetweennessAdvance(
+      old_base->parts.graph->graph(), *previous, to.parts.graph->graph(),
+      churn_threshold, &stats, pool_);
+  if (advance_stats != nullptr) *advance_stats = stats;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stats.incremental ? ++incremental_.advanced
+                      : ++incremental_.full_recomputes;
+    incremental_.touched_nodes += stats.touched_nodes;
+    incremental_.affected_sources += stats.affected_sources;
+    incremental_.recomputed_sources += stats.recomputed_sources;
+    incremental_.total_sources += to.parts.graph->graph().node_count();
+  }
+  if (!stats.incremental) {
+    // The fallback inside the advance IS a full Brandes run — keep
+    // the headline counter honest.
+    betweenness_runs_->fetch_add(1, std::memory_order_relaxed);
+  }
+  // A racer's cell may have won meanwhile; results are identical.
+  Cell cell = std::make_shared<const measures::LazyBetweenness>(
+      to.parts.graph, options, std::move(advanced));
+  return Bundle(to, to.CellOr(options_fp, std::move(cell)));
 }
 
-std::shared_ptr<const measures::LazyBetweenness> ArtefactCache::CellFor(
-    uint64_t fingerprint, const SharedBase& base,
-    const measures::ContextOptions& options) {
+ArtefactCache::Cell ArtefactCache::CellFor(
+    uint64_t fingerprint, Base& base, const measures::ContextOptions& options) {
   const uint64_t options_fp = measures::ContextOptionsFingerprint(options);
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(fingerprint);
-  if (it != entries_.end()) {
-    auto cell = it->second.betweenness.find(options_fp);
-    if (cell != it->second.betweenness.end()) return cell->second;
-  }
+  if (Cell cell = base.CellOr(options_fp)) return cell;
   auto counter = betweenness_runs_;
   // The version fingerprint salts sampled-mode pivot selection: the
   // sample becomes a stable property of the version's content, so
   // sampled results agree across engine instances, restarts, and
   // incremental vs cold rebuilds.
-  auto cell = std::make_shared<const measures::LazyBetweenness>(
-      base->graph, options, pool_,
-      [counter] { counter->fetch_add(1, std::memory_order_relaxed); },
-      /*sampling_salt=*/fingerprint);
-  if (it != entries_.end()) {
-    it->second.betweenness.emplace(options_fp, cell);
-  }
-  // Entry evicted meanwhile: hand out a detached cell (still correct,
-  // just not shared with future requests).
-  return cell;
+  return base.CellOr(
+      options_fp,
+      std::make_shared<const measures::LazyBetweenness>(
+          base.parts.graph, options, pool_,
+          [counter] { counter->fetch_add(1, std::memory_order_relaxed); },
+          /*sampling_salt=*/fingerprint));
 }
 
 ArtefactCacheStats ArtefactCache::stats() const {
+  const SingleFlightStats flights = bases_.stats();
   std::lock_guard<std::mutex> lock(mu_);
-  ArtefactCacheStats out = stats_;
+  ArtefactCacheStats out = builds_;
+  out.hits = flights.hits;
+  out.misses = flights.misses;
+  out.coalesced = flights.coalesced;
+  out.evictions = flights.evictions;
   out.betweenness_runs = betweenness_runs_->load(std::memory_order_relaxed);
   return out;
 }
@@ -232,17 +149,6 @@ ArtefactCacheStats ArtefactCache::stats() const {
 IncrementalStats ArtefactCache::incremental_stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return incremental_;
-}
-
-size_t ArtefactCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
-}
-
-void ArtefactCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-  lru_.clear();
 }
 
 }  // namespace evorec::engine

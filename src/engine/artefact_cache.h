@@ -4,13 +4,12 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <future>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
 
 #include "common/result.h"
+#include "common/single_flight.h"
 #include "common/thread_pool.h"
 #include "graph/betweenness.h"
 #include "measures/measure_context.h"
@@ -60,7 +59,8 @@ struct IncrementalStats {
 /// artefact, and a timeline walk over K versions builds each version's
 /// artefacts exactly once.
 ///
-/// Thread-safe and single-flight: concurrent requests for one missing
+/// Thread-safe and single-flight (a SingleFlightCache, with its LRU
+/// and failure policy): concurrent requests for one missing
 /// fingerprint coalesce into a single build (the materializer runs
 /// once), and the betweenness cells are single-flight per
 /// (fingerprint, context-options) — sharing one cache across
@@ -108,52 +108,51 @@ class ArtefactCache {
 
   IncrementalStats incremental_stats() const;
 
-  /// Number of resident base entries.
-  size_t size() const;
+  /// Number of resident base entries, builds in flight included.
+  size_t size() const { return bases_.size(); }
 
-  /// Drops every cached entry (in-flight builds finish normally;
-  /// handed-out bundles stay valid).
-  void Clear();
+  /// Drops every cached entry. Builds in flight still hand their
+  /// bundles to their waiters but are not installed; handed-out
+  /// bundles stay valid.
+  void Clear() { bases_.Clear(); }
 
  private:
-  /// The options-independent artefacts of one version.
-  struct BaseArtefacts {
-    std::shared_ptr<const rdf::KnowledgeBase> snapshot;
-    std::shared_ptr<const schema::SchemaView> view;
-    std::shared_ptr<const graph::SchemaGraph> graph;
-  };
-  using SharedBase = std::shared_ptr<const BaseArtefacts>;
+  using Cell = std::shared_ptr<const measures::LazyBetweenness>;
 
-  struct Entry {
-    std::shared_future<Result<SharedBase>> base;
-    /// Lazy betweenness cells keyed by ContextOptionsFingerprint.
-    std::unordered_map<uint64_t,
-                       std::shared_ptr<const measures::LazyBetweenness>>
-        betweenness;
-    std::list<uint64_t>::iterator lru_pos;
-    /// Distinguishes re-created entries from the one a failed builder
-    /// must clean up.
-    uint64_t generation = 0;
+  /// One version's options-independent artefacts (`parts`, whose
+  /// betweenness stays unset) and its lazy betweenness cells, keyed by
+  /// ContextOptionsFingerprint.
+  struct Base {
+    measures::VersionArtefacts parts;
+    std::mutex mu;
+    std::unordered_map<uint64_t, Cell> cells;
+
+    /// The cell installed for `options_fp`; when there is none yet,
+    /// installs `install` (if non-null) and returns it.
+    Cell CellOr(uint64_t options_fp, Cell install = nullptr);
   };
+  using SharedBase = std::shared_ptr<Base>;
+
+  /// `base`'s artefacts with `cell` as their betweenness.
+  static measures::VersionArtefacts Bundle(const Base& base, Cell cell);
 
   /// The ready base artefacts of `fingerprint`, building them via
   /// `materialize` on a miss (single-flight).
   Result<SharedBase> GetBase(uint64_t fingerprint,
                              const Materializer& materialize);
 
-  /// The cell for (entry, options), creating it on first request.
-  std::shared_ptr<const measures::LazyBetweenness> CellFor(
-      uint64_t fingerprint, const SharedBase& base,
-      const measures::ContextOptions& options);
+  /// The cell of `base` for `options`, creating a lazy one on first
+  /// request.
+  Cell CellFor(uint64_t fingerprint, Base& base,
+               const measures::ContextOptions& options);
 
-  size_t capacity_;
   ThreadPool* pool_;
+  SingleFlightCache<uint64_t, SharedBase> bases_;
   mutable std::mutex mu_;
-  std::list<uint64_t> lru_;  // most-recent first
-  std::unordered_map<uint64_t, Entry> entries_;
-  ArtefactCacheStats stats_;
+  // The build counters (snapshot_loads, view_builds, graph_builds);
+  // stats() fills in the rest.
+  ArtefactCacheStats builds_;
   IncrementalStats incremental_;
-  uint64_t generation_ = 0;
   // Brandes runs are counted from inside the lazy cells, which may
   // outlive the cache (shared_ptr keeps the counter valid).
   std::shared_ptr<std::atomic<uint64_t>> betweenness_runs_;

@@ -22,15 +22,20 @@ SharedEvaluation::SharedEvaluation(measures::EvolutionContext ctx,
 
 Result<std::shared_ptr<const measures::MeasureReport>>
 SharedEvaluation::Report(std::string_view name) const {
-  if (auto cached = reports_.Lookup(name); cached != nullptr) return cached;
+  if (auto cached = reports_.Peek(std::string(name))) return *cached;
   auto measure = registry_.Create(name);
   if (!measure.ok()) return measure.status();
-  return reports_.GetOrCompute(**measure, ctx_);
+  return measures::CachedReport(reports_, **measure, ctx_);
 }
 
 Result<std::vector<std::shared_ptr<const measures::MeasureReport>>>
 SharedEvaluation::AllReports() const {
   return measures::EvaluateAll(registry_, ctx_, reports_, pool_);
+}
+
+measures::ReportCacheStats SharedEvaluation::report_stats() const {
+  const SingleFlightStats flights = reports_.stats();
+  return {flights.hits, flights.misses, flights.coalesced};
 }
 
 size_t SharedEvaluation::StateKeyHash::operator()(const StateKey& key) const {
@@ -52,47 +57,23 @@ SharedEvaluation::SharedStateFor(const recommend::Recommender& rec) const {
   const StateKey key{&rec.registry(), copts.top_k, copts.per_region,
                      copts.max_regions, rec.options().diversity};
 
-  std::promise<Result<SharedState>> promise;
-  std::shared_future<Result<SharedState>> future;
-  {
-    std::unique_lock<std::mutex> lock(states_mu_);
-    auto it = states_.find(key);
-    if (it != states_.end()) {
-      std::shared_future<Result<SharedState>> existing = it->second;
-      lock.unlock();
-      return existing.get();
+  return states_.GetOrBuild(key, [&]() -> Result<SharedState> {
+    // The memoized reports cover the engine's registry; a recommender
+    // drawing from a different registry computes its own pool directly.
+    Result<recommend::SharedRunState> prepared =
+        InternalError("shared state not prepared");
+    if (&rec.registry() == &registry_) {
+      auto reports = AllReports();
+      if (!reports.ok()) return reports.status();
+      prepared = rec.PrepareShared(ctx_, registry_.List(),
+                                   std::move(reports).value());
+    } else {
+      prepared = rec.PrepareShared(ctx_);
     }
-    future = promise.get_future().share();
-    states_.emplace(key, future);
-  }
-
-  // The memoized reports cover the engine's registry; a recommender
-  // drawing from a different registry computes its own pool directly.
-  Result<recommend::SharedRunState> prepared =
-      InternalError("shared state not prepared");
-  if (&rec.registry() == &registry_) {
-    auto reports = AllReports();
-    if (!reports.ok()) {
-      promise.set_value(reports.status());
-      std::lock_guard<std::mutex> lock(states_mu_);
-      states_.erase(key);
-      return reports.status();
-    }
-    prepared =
-        rec.PrepareShared(ctx_, registry_.List(), std::move(reports).value());
-  } else {
-    prepared = rec.PrepareShared(ctx_);
-  }
-  if (!prepared.ok()) {
-    promise.set_value(prepared.status());
-    std::lock_guard<std::mutex> lock(states_mu_);
-    states_.erase(key);
-    return prepared.status();
-  }
-  SharedState state = std::make_shared<const recommend::SharedRunState>(
-      std::move(prepared).value());
-  promise.set_value(state);
-  return state;
+    if (!prepared.ok()) return prepared.status();
+    return std::make_shared<const recommend::SharedRunState>(
+        std::move(prepared).value());
+  });
 }
 
 EvaluationEngine::EvaluationEngine(const measures::MeasureRegistry& registry,
@@ -100,10 +81,27 @@ EvaluationEngine::EvaluationEngine(const measures::MeasureRegistry& registry,
     : registry_(registry),
       options_(options),
       pool_(options.threads),
-      artefacts_(options.artefact_cache_capacity, &pool_) {
+      artefacts_(options.artefact_cache_capacity, &pool_),
+      contexts_(std::max<size_t>(options.context_cache_capacity, 1)) {
   if (options_.context_cache_capacity == 0) {
     options_.context_cache_capacity = 1;
   }
+}
+
+template <typename BuildContext>
+Result<EvaluationEngine::SharedEval> EvaluationEngine::GetOrBuild(
+    const ContextKey& key, const BuildContext& build_context, bool refreshed) {
+  return contexts_.GetOrBuild(key, [&]() -> Result<SharedEval> {
+    Result<measures::EvolutionContext> ctx = build_context();
+    if (!ctx.ok()) return ctx.status();
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++builds_.contexts_built;
+      if (refreshed) ++builds_.contexts_refreshed;
+    }
+    return std::make_shared<const SharedEvaluation>(std::move(ctx).value(),
+                                                    registry_, &pool_);
+  });
 }
 
 Result<std::shared_ptr<const SharedEvaluation>> EvaluationEngine::Evaluate(
@@ -178,63 +176,6 @@ EvaluationEngine::PairArtefacts(const version::KbView& view,
   return std::make_pair(std::move(*before_art), std::move(*after_art));
 }
 
-Result<EvaluationEngine::SharedEval> EvaluationEngine::GetOrBuild(
-    const ContextKey& key,
-    const std::function<Result<measures::EvolutionContext>()>& build_context,
-    bool refreshed) {
-  std::promise<Result<SharedEval>> promise;
-  std::shared_future<Result<SharedEval>> future;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (auto hit = lookup_.find(key); hit != lookup_.end()) {
-      lru_.splice(lru_.begin(), lru_, hit->second);  // touch
-      ++stats_.context_hits;
-      return hit->second->second;
-    }
-    if (auto flying = inflight_.find(key); flying != inflight_.end()) {
-      std::shared_future<Result<SharedEval>> existing = flying->second;
-      ++stats_.context_coalesced;
-      lock.unlock();
-      return existing.get();
-    }
-    ++stats_.context_misses;
-    future = promise.get_future().share();
-    inflight_.emplace(key, future);
-  }
-
-  Result<measures::EvolutionContext> ctx = build_context();
-  if (!ctx.ok()) {
-    promise.set_value(ctx.status());
-    std::lock_guard<std::mutex> lock(mu_);
-    inflight_.erase(key);
-    return ctx.status();
-  }
-  SharedEval evaluation = std::make_shared<const SharedEvaluation>(
-      std::move(ctx).value(), registry_, &pool_);
-  promise.set_value(evaluation);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.contexts_built;
-    if (refreshed) ++stats_.contexts_refreshed;
-    inflight_.erase(key);
-    lru_.emplace_front(key, evaluation);
-    lookup_[key] = lru_.begin();
-    while (lru_.size() > options_.context_cache_capacity) {
-      lookup_.erase(lru_.back().first);
-      lru_.pop_back();
-      ++stats_.context_evictions;
-    }
-  }
-  return evaluation;
-}
-
-EvaluationEngine::SharedEval EvaluationEngine::Peek(
-    const ContextKey& key) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto hit = lookup_.find(key);
-  return hit != lookup_.end() ? hit->second->second : nullptr;
-}
-
 Result<EvaluationEngine::RefreshResult> EvaluationEngine::Refresh(
     const version::KbView& view, measures::ContextOptions context_options) {
   const version::VersionId head = view.head();
@@ -266,8 +207,10 @@ Result<EvaluationEngine::RefreshResult> EvaluationEngine::Refresh(
     // Keep the preceding evaluation alive across the build.
     SharedEval preceding;
     if (prev_prev.ok()) {
-      preceding = Peek(
-          ContextKey{prev_prev->fingerprint, prev->fingerprint, context_options});
+      preceding = contexts_
+                      .Peek(ContextKey{prev_prev->fingerprint,
+                                       prev->fingerprint, context_options})
+                      .value_or(nullptr);
     }
     return measures::EvolutionContext::Build(
         std::move(pair->first), std::move(pair->second), std::move(delta),
@@ -329,19 +272,18 @@ Result<measures::EvolutionTimeline> EvaluationEngine::Timeline(
 
 void EvaluationEngine::Clear() {
   artefacts_.Clear();
-  std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
-  lookup_.clear();
+  contexts_.Clear();
 }
 
 EngineStats EvaluationEngine::stats() const {
+  const SingleFlightStats flights = contexts_.stats();
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
-size_t EvaluationEngine::cached_contexts() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return lru_.size();
+  EngineStats out = builds_;
+  out.context_hits = flights.hits;
+  out.context_misses = flights.misses;
+  out.context_coalesced = flights.coalesced;
+  out.context_evictions = flights.evictions;
+  return out;
 }
 
 }  // namespace evorec::engine

@@ -2,17 +2,15 @@
 #define EVOREC_ENGINE_EVALUATION_ENGINE_H_
 
 #include <cstdint>
-#include <future>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/result.h"
+#include "common/single_flight.h"
 #include "common/thread_pool.h"
 #include "engine/artefact_cache.h"
 #include "measures/evaluation.h"
@@ -76,7 +74,7 @@ struct EngineStats {
   uint64_t context_misses = 0;     ///< triggered a build
   uint64_t contexts_built = 0;     ///< EvolutionContext::Build actually ran
   uint64_t context_coalesced = 0;  ///< joined a concurrent in-flight build
-  uint64_t context_evictions = 0;  ///< LRU evictions
+  uint64_t context_evictions = 0;  ///< LRU evictions, in-flight builds too
   uint64_t contexts_refreshed = 0; ///< built via the incremental path
 };
 
@@ -115,9 +113,7 @@ class SharedEvaluation {
   Result<std::shared_ptr<const recommend::SharedRunState>> SharedStateFor(
       const recommend::Recommender& rec) const;
 
-  measures::ReportCacheStats report_stats() const {
-    return reports_.stats();
-  }
+  measures::ReportCacheStats report_stats() const;
 
  private:
   using SharedState = std::shared_ptr<const recommend::SharedRunState>;
@@ -140,17 +136,14 @@ class SharedEvaluation {
   const measures::MeasureRegistry& registry_;
   ThreadPool* pool_;
   mutable measures::ReportCache reports_;
-  mutable std::mutex states_mu_;
-  mutable std::unordered_map<StateKey,
-                             std::shared_future<Result<SharedState>>,
-                             StateKeyHash>
-      states_;
+  mutable SingleFlightCache<StateKey, SharedState, StateKeyHash> states_;
 };
 
 /// The shared evaluation engine: owns an LRU cache of
 /// SharedEvaluations keyed by (before, after, options) and the thread
 /// pool driving parallel work. Thread-safe; concurrent requests for
-/// the same missing key coalesce into one build (single-flight).
+/// the same missing key coalesce into one build (a SingleFlightCache,
+/// with its LRU and failure policy).
 ///
 /// Every entry point takes the KB as a version::KbView, which guards
 /// its own state (see its thread-safety contract), so the engine holds
@@ -221,8 +214,9 @@ class EvaluationEngine {
       version::VersionId first = 0, version::VersionId last = UINT32_MAX,
       measures::ContextOptions context_options = {});
 
-  /// Drops every cached evaluation and artefact (in-flight builds
-  /// finish normally).
+  /// Drops every cached evaluation and artefact. Builds in flight
+  /// still hand their results to their waiters but are not installed;
+  /// handed-out evaluations stay valid.
   void Clear();
 
   EngineStats stats() const;
@@ -230,7 +224,8 @@ class EvaluationEngine {
   IncrementalStats incremental_stats() const {
     return artefacts_.incremental_stats();
   }
-  size_t cached_contexts() const;
+  /// Number of cached evaluations, builds in flight included.
+  size_t cached_contexts() const { return contexts_.size(); }
   ThreadPool& pool() { return pool_; }
   const measures::MeasureRegistry& registry() const { return registry_; }
   const EngineOptions& options() const { return options_; }
@@ -238,18 +233,15 @@ class EvaluationEngine {
  private:
   using SharedEval = std::shared_ptr<const SharedEvaluation>;
 
-  /// Shared single-flight LRU machinery of Evaluate and Refresh:
-  /// serves `key` from the cache or in-flight build, otherwise runs
-  /// `build_context` (outside the engine lock) and installs the
-  /// result. `refreshed` marks builds that took the incremental path
-  /// (for EngineStats::contexts_refreshed).
-  Result<SharedEval> GetOrBuild(
-      const ContextKey& key,
-      const std::function<Result<measures::EvolutionContext>()>& build_context,
-      bool refreshed);
-
-  /// Cache-peek (no LRU touch) of the evaluation under `key`.
-  SharedEval Peek(const ContextKey& key) const;
+  /// The context cache lookup of Evaluate and Refresh: serves `key`
+  /// ready or in flight, otherwise runs `build_context()` (a
+  /// Result<measures::EvolutionContext>, built outside every engine
+  /// lock) and caches the evaluation. `refreshed` marks builds that
+  /// took the incremental path (for EngineStats::contexts_refreshed).
+  template <typename BuildContext>
+  Result<SharedEval> GetOrBuild(const ContextKey& key,
+                                const BuildContext& build_context,
+                                bool refreshed);
 
   /// The artefact bundles of one pair build, `before` and `after` of
   /// `view`, from the artefact cache — `after`'s advanced
@@ -268,17 +260,12 @@ class EvaluationEngine {
   // snapshot content fingerprint, not pair).
   ArtefactCache artefacts_;
 
+  SingleFlightCache<ContextKey, SharedEval, ContextKeyHash> contexts_;
+
   mutable std::mutex mu_;
-  // LRU: most-recent at the front; lookup_ points into lru_.
-  std::list<std::pair<ContextKey, SharedEval>> lru_;
-  std::unordered_map<ContextKey,
-                     std::list<std::pair<ContextKey, SharedEval>>::iterator,
-                     ContextKeyHash>
-      lookup_;
-  std::unordered_map<ContextKey, std::shared_future<Result<SharedEval>>,
-                     ContextKeyHash>
-      inflight_;
-  EngineStats stats_;
+  // The build counters (contexts_built, contexts_refreshed); stats()
+  // fills in the rest.
+  EngineStats builds_;
   /// Last successful refresh, pinned for degraded-mode serving.
   std::optional<RefreshResult> last_good_;
 };

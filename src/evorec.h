@@ -37,6 +37,7 @@
 #include "common/percentile.h"
 #include "common/random.h"
 #include "common/result.h"
+#include "common/single_flight.h"
 #include "common/statistics.h"
 #include "common/status.h"
 #include "common/stopwatch.h"

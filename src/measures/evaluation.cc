@@ -1,81 +1,20 @@
 #include "measures/evaluation.h"
 
-#include <chrono>
 #include <utility>
 
 namespace evorec::measures {
 
-Result<std::shared_ptr<const MeasureReport>> ReportCache::GetOrCompute(
-    const EvolutionMeasure& measure, const EvolutionContext& ctx) {
-  const std::string& name = measure.info().name;
-  std::promise<Result<SharedReport>> promise;
-  std::shared_future<Result<SharedReport>> future;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    auto it = entries_.find(name);
-    if (it != entries_.end()) {
-      std::shared_future<Result<SharedReport>> existing = it->second;
-      const bool ready =
-          existing.wait_for(std::chrono::seconds(0)) ==
-          std::future_status::ready;
-      if (ready) {
-        ++stats_.hits;
-      } else {
-        ++stats_.coalesced;
-      }
-      lock.unlock();
-      return existing.get();
-    }
-    ++stats_.computations;
-    future = promise.get_future().share();
-    entries_.emplace(name, future);
-  }
-
-  // Compute outside the lock: other measures memoize concurrently and
-  // same-name requests wait on `future` instead of blocking the map.
-  Result<MeasureReport> computed = measure.Compute(ctx);
-  if (!computed.ok()) {
-    promise.set_value(computed.status());
-    std::lock_guard<std::mutex> lock(mu_);
-    entries_.erase(name);  // do not cache failures
-    return computed.status();
-  }
-  SharedReport shared =
-      std::make_shared<const MeasureReport>(std::move(computed).value());
-  promise.set_value(shared);
-  return shared;
-}
-
-std::shared_ptr<const MeasureReport> ReportCache::Lookup(
-    std::string_view name) const {
-  std::shared_future<Result<SharedReport>> future;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(std::string(name));
-    if (it == entries_.end()) return nullptr;
-    future = it->second;
-  }
-  const Result<SharedReport>& result = future.get();
-  return result.ok() ? *result : nullptr;
-}
-
-size_t ReportCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t count = 0;
-  for (const auto& [name, future] : entries_) {
-    (void)name;
-    if (future.wait_for(std::chrono::seconds(0)) ==
-        std::future_status::ready &&
-        future.get().ok()) {
-      ++count;
-    }
-  }
-  return count;
-}
-
-ReportCacheStats ReportCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+Result<std::shared_ptr<const MeasureReport>> CachedReport(
+    ReportCache& cache, const EvolutionMeasure& measure,
+    const EvolutionContext& ctx) {
+  return cache.GetOrBuild(
+      measure.info().name,
+      [&]() -> Result<std::shared_ptr<const MeasureReport>> {
+        Result<MeasureReport> computed = measure.Compute(ctx);
+        if (!computed.ok()) return computed.status();
+        return std::make_shared<const MeasureReport>(
+            std::move(computed).value());
+      });
 }
 
 Result<std::vector<std::shared_ptr<const MeasureReport>>> EvaluateAll(
@@ -87,7 +26,7 @@ Result<std::vector<std::shared_ptr<const MeasureReport>>> EvaluateAll(
       measures.size(), Result<std::shared_ptr<const MeasureReport>>(
                            InternalError("measure not evaluated")));
   auto evaluate_one = [&](size_t i) {
-    slots[i] = cache.GetOrCompute(*measures[i], ctx);
+    slots[i] = CachedReport(cache, *measures[i], ctx);
   };
   if (pool != nullptr) {
     pool->ParallelFor(measures.size(), evaluate_one);

@@ -2,15 +2,12 @@
 #define EVOREC_MEASURES_EVALUATION_H_
 
 #include <cstdint>
-#include <future>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
+#include "common/single_flight.h"
 #include "common/thread_pool.h"
 #include "measures/measure.h"
 #include "measures/measure_context.h"
@@ -27,39 +24,19 @@ struct ReportCacheStats {
   uint64_t coalesced = 0;     ///< joined an in-flight computation
 };
 
-/// A thread-safe, single-flight memo of MeasureReports keyed by
-/// measure name, scoped to one EvolutionContext. Concurrent requests
-/// for the same measure trigger exactly one Compute(); the losers wait
-/// on the winner's result. Reports are immutable once cached and are
-/// shared out as shared_ptr<const>, so they outlive cache eviction.
-class ReportCache {
- public:
-  ReportCache() = default;
-  ReportCache(const ReportCache&) = delete;
-  ReportCache& operator=(const ReportCache&) = delete;
+/// The single-flight memo of MeasureReports of one EvolutionContext,
+/// keyed by measure name and unbounded: concurrent requests for one
+/// measure run Compute() once, failures are not cached, and reports
+/// are shared out as shared_ptr<const>. Its `misses` are the
+/// ReportCacheStats `computations`.
+using ReportCache =
+    SingleFlightCache<std::string, std::shared_ptr<const MeasureReport>>;
 
-  /// The memoized report of `measure` over `ctx`, computing it on the
-  /// first request. Failed computations are not cached (a later
-  /// request retries).
-  Result<std::shared_ptr<const MeasureReport>> GetOrCompute(
-      const EvolutionMeasure& measure, const EvolutionContext& ctx);
-
-  /// The cached report of `name`, or nullptr when never computed.
-  std::shared_ptr<const MeasureReport> Lookup(std::string_view name) const;
-
-  /// Number of successfully cached reports.
-  size_t size() const;
-
-  ReportCacheStats stats() const;
-
- private:
-  using SharedReport = std::shared_ptr<const MeasureReport>;
-
-  mutable std::mutex mu_;
-  std::unordered_map<std::string, std::shared_future<Result<SharedReport>>>
-      entries_;
-  ReportCacheStats stats_;
-};
+/// The memoized report of `measure` over `ctx`, computing it through
+/// `cache` on the first request.
+Result<std::shared_ptr<const MeasureReport>> CachedReport(
+    ReportCache& cache, const EvolutionMeasure& measure,
+    const EvolutionContext& ctx);
 
 /// Registry-driven batch evaluation: the report of every registered
 /// measure over `ctx`, in registration order, filling `cache` as it

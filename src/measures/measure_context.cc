@@ -168,13 +168,14 @@ Result<EvolutionContext> EvolutionContext::Build(
 }
 
 Result<EvolutionContext> EvolutionContext::FromVersions(
-    const version::VersionedKnowledgeBase& vkb, version::VersionId v1,
+    const version::KbView& view, version::VersionId v1,
     version::VersionId v2, ContextOptions options, ThreadPool* pool) {
-  auto before = vkb.Snapshot(v1);
+  auto before = view.SharedSnapshot(v1);
   if (!before.ok()) return before.status();
-  auto after = vkb.Snapshot(v2);
+  auto after = view.SharedSnapshot(v2);
   if (!after.ok()) return after.status();
-  return Build(**before, **after, options, pool);
+  return Build(std::move(before).value(), std::move(after).value(), options,
+               pool);
 }
 
 std::vector<double> ScatterToUnion(

@@ -17,7 +17,7 @@
 #include "graph/schema_graph.h"
 #include "rdf/knowledge_base.h"
 #include "schema/schema_view.h"
-#include "version/versioned_kb.h"
+#include "version/kb_view.h"
 
 namespace evorec::measures {
 
@@ -203,9 +203,10 @@ class EvolutionContext {
                                         const delta::DeltaIndex* advance_from,
                                         ContextOptions options = {});
 
-  /// Builds a context for versions (v1, v2) of `vkb`.
+  /// Builds a context for versions (v1, v2) of `view`, over snapshots
+  /// pinned with SharedSnapshot (safe beside a committer).
   static Result<EvolutionContext> FromVersions(
-      const version::VersionedKnowledgeBase& vkb, version::VersionId v1,
+      const version::KbView& view, version::VersionId v1,
       version::VersionId v2, ContextOptions options = {},
       ThreadPool* pool = nullptr);
 
@@ -258,7 +259,7 @@ class EvolutionContext {
 
   ContextOptions options_;
   // Snapshots are held by shared_ptr so that contexts remain cheap to
-  // copy and valid independent of the VersionedKnowledgeBase cache.
+  // copy and valid independent of the KB they were read from.
   std::shared_ptr<const rdf::KnowledgeBase> before_;
   std::shared_ptr<const rdf::KnowledgeBase> after_;
   std::shared_ptr<const schema::SchemaView> view_before_;

@@ -5,22 +5,22 @@
 namespace evorec::measures {
 
 Result<EvolutionTimeline> EvolutionTimeline::Compute(
-    const version::VersionedKnowledgeBase& vkb,
-    const EvolutionMeasure& measure, version::VersionId first,
-    version::VersionId last, ContextOptions options) {
-  if (vkb.version_count() < 2) {
+    const version::KbView& view, const EvolutionMeasure& measure,
+    version::VersionId first, version::VersionId last,
+    ContextOptions options) {
+  if (view.version_count() < 2) {
     return FailedPreconditionError(
         "timeline needs at least two versions");
   }
   const version::VersionId end =
-      std::min<version::VersionId>(last, vkb.head());
+      std::min<version::VersionId>(last, view.head());
   if (first >= end) {
     return InvalidArgumentError("empty version range for timeline");
   }
   std::vector<MeasureReport> reports;
   reports.reserve(end - first);
   for (version::VersionId v = first; v < end; ++v) {
-    auto ctx = EvolutionContext::FromVersions(vkb, v, v + 1, options);
+    auto ctx = EvolutionContext::FromVersions(view, v, v + 1, options);
     if (!ctx.ok()) return ctx.status();
     auto report = measure.Compute(*ctx);
     if (!report.ok()) return report.status();

@@ -6,7 +6,7 @@
 
 #include "common/result.h"
 #include "measures/measure.h"
-#include "version/versioned_kb.h"
+#include "version/kb_view.h"
 
 namespace evorec::measures {
 
@@ -30,16 +30,16 @@ class EvolutionTimeline {
     size_t peak_transition = 0;
   };
 
-  /// Computes `measure` over every consecutive pair (v, v+1) of `vkb`
+  /// Computes `measure` over every consecutive pair (v, v+1) of `view`
   /// from version `first` to `last` (defaults: full history). Each
   /// transition builds its own EvolutionContext with `options` — the
   /// pair-keyed cold path, which rebuilds every middle version's
   /// artefacts twice. Prefer EvaluationEngine::Timeline, whose
   /// artefact cache builds each version's artefacts exactly once.
   static Result<EvolutionTimeline> Compute(
-      const version::VersionedKnowledgeBase& vkb,
-      const EvolutionMeasure& measure, version::VersionId first = 0,
-      version::VersionId last = UINT32_MAX, ContextOptions options = {});
+      const version::KbView& view, const EvolutionMeasure& measure,
+      version::VersionId first = 0, version::VersionId last = UINT32_MAX,
+      ContextOptions options = {});
 
   /// Assembles a timeline from per-transition reports computed
   /// elsewhere (reports[i] covers transition first+i → first+i+1) —

@@ -6,11 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "engine/recommendation_service.h"
+#include "measures/change_count.h"
 #include "workload/scenarios.h"
 
 namespace evorec::engine {
@@ -138,6 +140,83 @@ TEST(EvaluationEngineTest, ReportsAreMemoizedPerContext) {
   auto by_name = (*evaluation)->Report("class_change_count");
   ASSERT_TRUE(by_name.ok());
   EXPECT_EQ((*evaluation)->report_stats().computations, registry.size());
+}
+
+// Class change count whose first Compute, across every instance the
+// registry creates, fails: the probe for "failures are not memoised".
+class FailsOnceMeasure final : public measures::EvolutionMeasure {
+ public:
+  explicit FailsOnceMeasure(std::shared_ptr<std::atomic<int>> calls)
+      : calls_(std::move(calls)) {}
+
+  const measures::MeasureInfo& info() const override { return inner_.info(); }
+
+  Result<measures::MeasureReport> Compute(
+      const measures::EvolutionContext& ctx) const override {
+    if (calls_->fetch_add(1) == 0) return InternalError("first compute");
+    return inner_.Compute(ctx);
+  }
+
+ private:
+  measures::ClassChangeCountMeasure inner_;
+  std::shared_ptr<std::atomic<int>> calls_;
+};
+
+measures::MeasureRegistry FailsOnceRegistry() {
+  measures::MeasureRegistry registry;
+  auto calls = std::make_shared<std::atomic<int>>(0);
+  EXPECT_TRUE(registry
+                  .Register([calls] {
+                    return std::make_unique<FailsOnceMeasure>(calls);
+                  })
+                  .ok());
+  return registry;
+}
+
+TEST(EvaluationEngineTest, FailedReportIsNotMemoized) {
+  workload::Scenario scenario = SmallScenario();
+  const measures::MeasureRegistry registry = FailsOnceRegistry();
+  EvaluationEngine engine(registry, {.threads = 1});
+  auto evaluation = engine.Evaluate(*scenario.vkb, 0, 1);
+  ASSERT_TRUE(evaluation.ok()) << evaluation.status().ToString();
+
+  EXPECT_FALSE((*evaluation)->Report("class_change_count").ok());
+  auto retried = (*evaluation)->Report("class_change_count");
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  EXPECT_FALSE((*retried)->empty());
+  EXPECT_EQ((*evaluation)->report_stats().computations, 2u);
+}
+
+TEST(EvaluationEngineTest, FailedAllReportsIsNotMemoized) {
+  workload::Scenario scenario = SmallScenario();
+  const measures::MeasureRegistry registry = FailsOnceRegistry();
+  EvaluationEngine engine(registry, {.threads = 2});
+  auto evaluation = engine.Evaluate(*scenario.vkb, 0, 1);
+  ASSERT_TRUE(evaluation.ok()) << evaluation.status().ToString();
+
+  EXPECT_FALSE((*evaluation)->AllReports().ok());
+  auto retried = (*evaluation)->AllReports();
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  ASSERT_EQ(retried->size(), 1u);
+  EXPECT_EQ((*evaluation)->report_stats().computations, 2u);
+}
+
+TEST(EvaluationEngineTest, FailedSharedStateIsNotMemoized) {
+  workload::Scenario scenario = SmallScenario();
+  const measures::MeasureRegistry registry = FailsOnceRegistry();
+  EvaluationEngine engine(registry, {.threads = 1});
+  const recommend::Recommender recommender(registry, {});
+  auto evaluation = engine.Evaluate(*scenario.vkb, 0, 1);
+  ASSERT_TRUE(evaluation.ok()) << evaluation.status().ToString();
+
+  EXPECT_FALSE((*evaluation)->SharedStateFor(recommender).ok());
+  auto retried = (*evaluation)->SharedStateFor(recommender);
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  EXPECT_NE(*retried, nullptr);
+  EXPECT_EQ((*evaluation)->report_stats().computations, 2u);
+  auto again = (*evaluation)->SharedStateFor(recommender);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->get(), retried->get());
 }
 
 TEST(RecommendationServiceTest, BatchMatchesSequentialRecommend) {

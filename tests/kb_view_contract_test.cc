@@ -5,8 +5,9 @@
 // change set for version 0, and hand out snapshots that stay pinned to
 // their version across later commits and snapshot-cache eviction.
 // KbViewConcurrencyTest then serves one delta-chain KB through two
-// services while one of them commits: the KB's own lock is the only
-// synchronisation between them (run it under TSan).
+// services while one of them commits, and builds contexts over a
+// full-materialisation KB while it commits: the KB's own lock is the
+// only synchronisation between them (run it under TSan).
 
 #include "version/kb_view.h"
 
@@ -22,6 +23,7 @@
 
 #include "common/random.h"
 #include "engine/recommendation_service.h"
+#include "measures/measure_context.h"
 #include "version/sharded_kb.h"
 #include "version/versioned_kb.h"
 #include "workload/scenarios.h"
@@ -272,6 +274,61 @@ TEST(KbViewConcurrencyTest, TwoServicesShareOneDeltaChainKbDuringCommits) {
     EXPECT_EQ(from_committer->items[i].explanation.ToText(),
               from_bystander->items[i].explanation.ToText());
   }
+}
+
+// EvolutionContext::FromVersions beside a committer on one
+// full-materialisation KB. Each commit appends a store there, which can
+// move every earlier one, so a context must be built from pinned
+// snapshots rather than from pointers into the KB held past its lock.
+TEST(KbViewConcurrencyTest, FromVersionsBesideACommitterOnFullMaterialization) {
+  workload::ScenarioScale scale;
+  scale.classes = 16;
+  scale.properties = 6;
+  scale.instances = 80;
+  scale.edges = 160;
+  scale.versions = 24;
+  scale.operations = 20;
+  workload::Scenario scenario = workload::MakeDbpediaLike(41, scale);
+  auto base = scenario.vkb->Snapshot(0);
+  ASSERT_TRUE(base.ok());
+  VersionedKnowledgeBase kb(ArchivePolicy::kFullMaterialization, **base);
+  std::vector<size_t> sizes;
+  for (VersionId v = 0; v <= scenario.vkb->head(); ++v) {
+    auto snapshot = scenario.vkb->Snapshot(v);
+    ASSERT_TRUE(snapshot.ok());
+    sizes.push_back((*snapshot)->store().size());
+  }
+  ASSERT_NO_FATAL_FAILURE(Commit(kb, *scenario.vkb->Changes(1)));
+
+  std::atomic<bool> done{false};
+  std::atomic<size_t> reads{0};
+  std::atomic<size_t> failures{0};
+  std::thread reader([&] {
+    while (!done.load()) {
+      const VersionId head = kb.head();
+      auto ctx = measures::EvolutionContext::FromVersions(kb, head - 1, head);
+      if (!ctx.ok() || ctx->before().store().size() != sizes[head - 1] ||
+          ctx->after().store().size() != sizes[head]) {
+        failures.fetch_add(1);
+      }
+      reads.fetch_add(1);
+    }
+  });
+  for (VersionId v = 2; v <= scenario.vkb->head(); ++v) {
+    // Let the reader start a context build, then commit under it.
+    const size_t seen = reads.load();
+    while (reads.load() == seen) std::this_thread::yield();
+    auto id = kb.Commit(*scenario.vkb->Changes(v), "stream", "commit");
+    if (!id.ok()) {
+      ADD_FAILURE() << id.status().ToString();
+      break;
+    }
+  }
+  done.store(true);
+  reader.join();
+
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_EQ(kb.head(), scenario.vkb->head());
 }
 
 }  // namespace
