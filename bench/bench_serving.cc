@@ -186,6 +186,36 @@ void BM_WarmBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_WarmBatch)->Arg(1)->Arg(64)->Unit(benchmark::kMillisecond);
 
+// One RecommendForUser over a warm SharedRunState: the per-user stages
+// (gate, score, select, explain) alone, without the engine lookup and
+// admission in front of them.
+void BM_RecommendForUserWarm(benchmark::State& state) {
+  workload::Scenario scenario = ServingScenario();
+  const measures::MeasureRegistry registry = measures::DefaultRegistry();
+  recommend::RecommenderOptions options;
+  options.record_seen = false;
+  const recommend::Recommender recommender(registry, options);
+  auto ctx = measures::EvolutionContext::FromVersions(*scenario.vkb, 0, 1);
+  if (!ctx.ok()) {
+    state.SkipWithError("context build failed");
+    return;
+  }
+  auto shared = recommender.PrepareShared(*ctx);
+  if (!shared.ok()) {
+    state.SkipWithError("shared state failed");
+    return;
+  }
+  profile::HumanProfile user = scenario.end_user;
+  for (auto _ : state) {
+    auto list = recommender.RecommendForUser(*shared, user);
+    if (!list.ok()) state.SkipWithError("recommend failed");
+    benchmark::DoNotOptimize(list.ok());
+  }
+  state.counters["users_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_RecommendForUserWarm)->Unit(benchmark::kMicrosecond);
+
 // Thread sweep of the warm 64-user batch.
 void BM_WarmBatch64Threads(benchmark::State& state) {
   const size_t threads = static_cast<size_t>(state.range(0));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <optional>
 #include <utility>
 
 namespace evorec::engine {
@@ -361,11 +362,9 @@ RecommendationService::ServeBatch(const version::KbView& view,
   const bool parallel = options_.parallel_batches;
   std::vector<provenance::ProvenanceStore> scratch(
       parallel && provenance_ != nullptr ? n : 0);
-  std::vector<Result<recommend::RecommendationList>> slots(
-      n, Result<recommend::RecommendationList>(
-             InternalError("request not served")));
   // Every slot is filled (parallel runs don't short-circuit); the
   // first error wins below.
+  std::vector<std::optional<Result<recommend::RecommendationList>>> slots(n);
   const auto serve_one = [&](size_t i) {
     Status alive = CheckDeadline(admitted->deadline, "batch scoring", 1);
     if (!alive.ok()) {
@@ -387,9 +386,10 @@ RecommendationService::ServeBatch(const version::KbView& view,
   std::vector<recommend::RecommendationList> lists;
   lists.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    if (!slots[i].ok()) return slots[i].status();
-    if (!bases.empty()) RebaseTrail(*slots[i], bases[i]);
-    lists.push_back(std::move(slots[i]).value());
+    Result<recommend::RecommendationList>& slot = *slots[i];
+    if (!slot.ok()) return slot.status();
+    if (!bases.empty()) RebaseTrail(*slot, bases[i]);
+    lists.push_back(std::move(slot).value());
   }
   Deliver(lists, *admitted, start);
   return lists;

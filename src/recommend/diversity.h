@@ -33,9 +33,10 @@ double NoveltyScore(const profile::HumanProfile& profile,
 
 /// Precomputed pairwise CandidateDistance values of one pool under one
 /// DiversityKind. Distances are user-independent, so a shared pool
-/// builds the matrix once and every per-user selection reuses it; the
-/// selectors below accept it as an optional fast path and produce
-/// identical results with or without it.
+/// builds the matrix once and every per-user selection reuses it. The
+/// selectors below read a caller's matrix when it covers their pool
+/// and build one otherwise, so results are identical with or without
+/// it.
 class DistanceMatrix {
  public:
   DistanceMatrix() = default;
@@ -47,6 +48,8 @@ class DistanceMatrix {
   /// Number of candidates the matrix covers.
   size_t size() const { return n_; }
   double at(size_t i, size_t j) const { return values_[i * n_ + j]; }
+  /// Distances from candidate `i` to every candidate (row i).
+  const double* row(size_t i) const { return values_.data() + i * n_; }
 
  private:
   size_t n_ = 0;
@@ -82,8 +85,12 @@ std::vector<size_t> SelectMaxMin(
     const std::vector<double>& relevance, size_t k, DiversityKind kind);
 
 /// Local-search improvement: repeatedly swaps a selected candidate for
-/// an unselected one when the swap improves the MMR objective; at most
-/// `max_rounds` full passes. Returns the improved selection.
+/// an unselected one when the swap improves the MMR objective by more
+/// than 1e-12; at most `max_rounds` full passes. Returns the improved
+/// selection. Each trial swap is first estimated in O(1) from the
+/// candidates' distance sums to the selection; only a trial whose
+/// estimate comes within rounding error of the bar is scored with
+/// MmrObjective, which alone decides.
 std::vector<size_t> ImproveBySwaps(
     const std::vector<MeasureCandidate>& candidates,
     const std::vector<double>& relevance, std::vector<size_t> selection,

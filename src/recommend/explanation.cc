@@ -2,36 +2,29 @@
 
 #include "common/strings.h"
 #include "measures/measure.h"
-#include "recommend/diversity.h"
 
 namespace evorec::recommend {
 
-Explanation BuildExplanation(
-    const MeasureCandidate& candidate, const profile::HumanProfile& profile,
-    const RelatednessScorer& scorer, const rdf::Dictionary& dictionary,
-    const std::unordered_map<rdf::TermId, double>* expanded_interests) {
+Explanation BuildExplanation(const MeasureCandidate& candidate,
+                             double relatedness, double novelty,
+                             const rdf::Dictionary& dictionary,
+                             const double* const* interests) {
   Explanation e;
   e.candidate_id = candidate.id;
   e.measure_name = candidate.measure.name;
   e.measure_description = candidate.measure.description;
   e.category = measures::MeasureCategoryName(candidate.measure.category);
   e.region_label = candidate.region_label;
-  std::unordered_map<rdf::TermId, double> local_expansion;
-  if (expanded_interests == nullptr) {
-    local_expansion = scorer.ExpandInterests(profile);
-    expanded_interests = &local_expansion;
-  }
-  const auto& interests = *expanded_interests;
-  e.relatedness = scorer.ScoreExpanded(interests, profile, candidate);
-  e.novelty = NoveltyScore(profile, candidate);
-  for (rdf::TermId term : candidate.top_terms) {
-    auto looked_up = dictionary.Lookup(term);
-    const std::string label =
-        looked_up.ok() ? looked_up->lexical : std::to_string(term);
-    e.top_affected.push_back(label);
-    auto it = interests.find(term);
-    if (it != interests.end() && it->second > 0.0) {
-      e.matched_interests.push_back(label);
+  e.relatedness = relatedness;
+  e.novelty = novelty;
+  e.top_affected.reserve(candidate.top_terms.size());
+  for (size_t t = 0; t < candidate.top_terms.size(); ++t) {
+    const rdf::TermId term = candidate.top_terms[t];
+    e.top_affected.push_back(term < dictionary.size()
+                                 ? dictionary.term(term).lexical
+                                 : std::to_string(term));
+    if (interests[t] != nullptr && *interests[t] > 0.0) {
+      e.matched_interests.push_back(e.top_affected.back());
     }
   }
   return e;

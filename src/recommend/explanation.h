@@ -4,11 +4,9 @@
 #include <string>
 #include <vector>
 
-#include "profile/profile.h"
 #include "provenance/record.h"
 #include "rdf/dictionary.h"
 #include "recommend/candidate.h"
-#include "recommend/relatedness.h"
 
 namespace evorec::recommend {
 
@@ -37,14 +35,16 @@ struct Explanation {
   std::string ToText() const;
 };
 
-/// Builds the explanation of `candidate` for `profile`. When
-/// `expanded_interests` (ExpandInterests(profile)) is supplied the
-/// expansion is reused instead of recomputed — same output either way.
-Explanation BuildExplanation(
-    const MeasureCandidate& candidate, const profile::HumanProfile& profile,
-    const RelatednessScorer& scorer, const rdf::Dictionary& dictionary,
-    const std::unordered_map<rdf::TermId, double>* expanded_interests =
-        nullptr);
+/// Builds the explanation of `candidate` for one profile from what the
+/// recommender already computed for it: the candidate's `relatedness`
+/// and `novelty`, and the profile's interest in each top term
+/// (TopTermInterests; a top term with a positive interest is a matched
+/// interest). Terms are labelled with their IRI in `dictionary`, or
+/// their decimal id when the dictionary lacks them.
+Explanation BuildExplanation(const MeasureCandidate& candidate,
+                             double relatedness, double novelty,
+                             const rdf::Dictionary& dictionary,
+                             const double* const* interests);
 
 }  // namespace evorec::recommend
 

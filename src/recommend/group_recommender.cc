@@ -7,12 +7,21 @@ UtilityMatrix BuildUtilityMatrix(const std::vector<MeasureCandidate>& pool,
                                  const RelatednessScorer& scorer) {
   UtilityMatrix utilities(group.size(),
                           std::vector<double>(pool.size(), 0.0));
+  // Top-term weights and the term index once per pool, one interest
+  // expansion per member — not per (member, candidate).
+  std::vector<TopTermWeights> weights;
+  weights.reserve(pool.size());
+  for (const MeasureCandidate& candidate : pool) {
+    weights.push_back(ComputeTopTermWeights(candidate));
+  }
+  const TopTermIndex index(pool);
   for (size_t m = 0; m < group.size(); ++m) {
-    // One interest expansion per member, not per (member, candidate).
-    const auto expanded = scorer.ExpandInterests(group.members()[m]);
+    const profile::HumanProfile& member = group.members()[m];
+    const auto expanded = scorer.ExpandInterests(member);
+    const std::vector<const double*> interests = index.Gather(expanded);
     for (size_t c = 0; c < pool.size(); ++c) {
-      utilities[m][c] =
-          scorer.ScoreExpanded(expanded, group.members()[m], pool[c]);
+      utilities[m][c] = scorer.ScoreExpanded(
+          interests.data() + index.offset(c), member, pool[c], weights[c]);
     }
   }
   return utilities;

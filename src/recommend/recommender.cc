@@ -23,18 +23,19 @@ void Recommender::AttachAccessPolicy(const anonymity::AccessPolicy* policy) {
 namespace {
 
 // Thin wrapper so pipeline code reads identically with and without an
-// attached provenance store.
+// attached provenance store. The run name and the stage notes are
+// built only when a store is attached.
 class StageTracer {
  public:
-  StageTracer(provenance::ProvenanceStore* store, const std::string& run_name,
-              const std::string& agent)
+  StageTracer(provenance::ProvenanceStore* store, const char* run_kind,
+              const std::string& run_id)
       : workflow_(store == nullptr
                       ? nullptr
                       : std::make_unique<provenance::Workflow>(
-                            run_name, agent, *store)) {}
+                            run_kind + run_id, "evorec", *store)) {}
 
-  void Run(const std::string& stage, const std::string& entity,
-           const std::string& note) {
+  template <typename NoteFn>
+  void Run(const char* stage, const char* entity, const NoteFn& note) {
     if (workflow_ == nullptr) return;
     std::vector<provenance::RecordId> inputs;
     if (!workflow_->stage_records().empty()) {
@@ -42,7 +43,7 @@ class StageTracer {
     }
     (void)workflow_->RunStage(stage, entity,
                               provenance::SourceKind::kInference, inputs,
-                              [&] { return note; });
+                              note);
   }
 
   std::vector<provenance::RecordId> trail() const {
@@ -71,14 +72,21 @@ std::vector<rdf::TermId> DeliveredTerms(
   return terms;
 }
 
-std::vector<measures::MeasureReport> NormalizeReports(
-    const std::vector<MeasureCandidate>& pool) {
-  std::vector<measures::MeasureReport> normalized;
-  normalized.reserve(pool.size());
-  for (const MeasureCandidate& candidate : pool) {
-    normalized.push_back(candidate.report.Normalized());
+// Adds the user-independent scoring and selection inputs to a state
+// holding only its pool.
+void DeriveSharedInputs(SharedRunState& state, DiversityKind diversity) {
+  state.weights.reserve(state.pool.size());
+  for (const MeasureCandidate& candidate : state.pool) {
+    state.weights.push_back(ComputeTopTermWeights(candidate));
   }
-  return normalized;
+  state.terms = TopTermIndex(state.pool);
+  state.distances = DistanceMatrix::Build(state.pool, diversity);
+}
+
+bool HasSharedInputs(const SharedRunState& state) {
+  const size_t n = state.pool.size();
+  return state.weights.size() == n && state.terms.size() == n &&
+         state.distances.size() == n;
 }
 
 }  // namespace
@@ -97,8 +105,7 @@ Result<SharedRunState> Recommender::PrepareShared(
     const measures::EvolutionContext& ctx) const {
   auto shared = PreparePool(ctx);
   if (!shared.ok()) return shared;
-  shared->normalized = NormalizeReports(shared->pool);
-  shared->distances = DistanceMatrix::Build(shared->pool, options_.diversity);
+  DeriveSharedInputs(*shared, options_.diversity);
   return shared;
 }
 
@@ -113,8 +120,7 @@ Result<SharedRunState> Recommender::PrepareShared(
   SharedRunState shared;
   shared.ctx = &ctx;
   shared.pool = std::move(pool).value();
-  shared.normalized = NormalizeReports(shared.pool);
-  shared.distances = DistanceMatrix::Build(shared.pool, options_.diversity);
+  DeriveSharedInputs(shared, options_.diversity);
   return shared;
 }
 
@@ -122,7 +128,7 @@ Result<RecommendationList> Recommender::RecommendForUser(
     const measures::EvolutionContext& ctx,
     profile::HumanProfile& prof) const {
   // With a policy attached the per-user gating invalidates the shared
-  // normalisation/distances, so don't build them for one run.
+  // weights/index/distances, so don't build them for one run.
   auto shared = policy_ == nullptr ? PrepareShared(ctx) : PreparePool(ctx);
   if (!shared.ok()) return shared.status();
   return RecommendForUser(*shared, prof);
@@ -137,80 +143,92 @@ Result<RecommendationList> Recommender::RecommendForUser(
     const SharedRunState& shared, profile::HumanProfile& prof,
     provenance::ProvenanceStore* trace) const {
   const measures::EvolutionContext& ctx = *shared.ctx;
-  StageTracer tracer(trace, "recommend_user/" + prof.id(), "evorec");
-  tracer.Run("context", "evolution_context",
-             "delta size " + std::to_string(ctx.low_level_delta().size()));
-  tracer.Run("candidates", "candidate_pool",
-             std::to_string(shared.pool.size()) + " candidates");
+  StageTracer tracer(trace, "recommend_user/", prof.id());
+  tracer.Run("context", "evolution_context", [&] {
+    return "delta size " + std::to_string(ctx.low_level_delta().size());
+  });
+  tracer.Run("candidates", "candidate_pool", [&] {
+    return std::to_string(shared.pool.size()) + " candidates";
+  });
 
   // Null policy: the gate is an identity, so score straight off the
-  // shared pool (and its pre-normalised reports) without copying it.
-  // With a policy attached, gating redacts per user and the shared
-  // normalisation no longer lines up.
+  // shared pool and its user-independent inputs without copying it.
+  // With a policy attached, gating redacts top terms per user, so the
+  // run derives its own inputs from its gated copy (as it does from a
+  // copy of a pool-only state).
   GateOutcome gated;
-  const bool use_shared_pool = policy_ == nullptr;
-  if (!use_shared_pool) {
-    gated = ApplyAccessGate(policy_, prof.id(), shared.pool,
-                            options_.candidates.top_k);
+  SharedRunState derived;
+  const SharedRunState* run = &shared;
+  if (policy_ != nullptr || !HasSharedInputs(shared)) {
+    derived.ctx = shared.ctx;
+    if (policy_ != nullptr) {
+      gated = ApplyAccessGate(policy_, prof.id(), shared.pool,
+                              options_.candidates.top_k);
+      derived.pool = std::move(gated.candidates);
+    } else {
+      derived.pool = shared.pool;
+    }
+    DeriveSharedInputs(derived, options_.diversity);
+    run = &derived;
   }
-  const std::vector<MeasureCandidate>& candidates =
-      use_shared_pool ? shared.pool : gated.candidates;
-  const bool have_normalized =
-      use_shared_pool && shared.normalized.size() == shared.pool.size();
-  tracer.Run("anonymity_gate", "gated_pool",
-             std::to_string(candidates.size()) + " visible, " +
-                 std::to_string(gated.dropped_candidates) + " dropped");
+  const std::vector<MeasureCandidate>& candidates = run->pool;
+  tracer.Run("anonymity_gate", "gated_pool", [&] {
+    return std::to_string(candidates.size()) + " visible, " +
+           std::to_string(gated.dropped_candidates) + " dropped";
+  });
 
   const RelatednessScorer scorer(ctx, options_.relatedness);
   const std::unordered_map<rdf::TermId, double> expanded =
       scorer.ExpandInterests(prof);
+  const std::vector<const double*> interests = run->terms.Gather(expanded);
   std::vector<double> relatedness(candidates.size(), 0.0);
   std::vector<double> novelty(candidates.size(), 0.0);
   std::vector<double> relevance(candidates.size(), 0.0);
   for (size_t i = 0; i < candidates.size(); ++i) {
-    relatedness[i] = scorer.ScoreExpanded(
-        expanded, prof, candidates[i],
-        have_normalized ? &shared.normalized[i] : nullptr);
+    relatedness[i] =
+        scorer.ScoreExpanded(interests.data() + run->terms.offset(i), prof,
+                             candidates[i], run->weights[i]);
     novelty[i] = NoveltyScore(prof, candidates[i]);
     relevance[i] = (1.0 - options_.novelty_weight) * relatedness[i] +
                    options_.novelty_weight * novelty[i];
   }
-  tracer.Run("scoring", "scored_pool",
-             "relatedness+novelty over " +
-                 std::to_string(candidates.size()) + " candidates");
+  tracer.Run("scoring", "scored_pool", [&] {
+    return "relatedness+novelty over " + std::to_string(candidates.size()) +
+           " candidates";
+  });
 
-  const DistanceMatrix* distances =
-      use_shared_pool && shared.distances.size() == candidates.size()
-          ? &shared.distances
-          : nullptr;
   std::vector<size_t> selection =
       SelectMmr(candidates, relevance, options_.package_size,
-                options_.mmr_lambda, options_.diversity, distances);
+                options_.mmr_lambda, options_.diversity, &run->distances);
   selection = ImproveBySwaps(candidates, relevance, std::move(selection),
                              options_.mmr_lambda, options_.diversity,
-                             /*max_rounds=*/4, distances);
-  tracer.Run("selection", "package",
-             std::to_string(selection.size()) + " measures selected");
+                             /*max_rounds=*/4, &run->distances);
+  tracer.Run("selection", "package", [&] {
+    return std::to_string(selection.size()) + " measures selected";
+  });
 
   RecommendationList list;
   list.candidate_pool_size = candidates.size();
   list.redacted_terms = gated.redacted_terms;
   list.dropped_candidates = gated.dropped_candidates;
+  list.items.reserve(selection.size());
+  const std::optional<provenance::RecordId> last = tracer.last();
   for (size_t index : selection) {
     RecommendationItem item;
     item.candidate = candidates[index];
     item.relatedness = relatedness[index];
     item.novelty = novelty[index];
-    item.explanation = BuildExplanation(item.candidate, prof, scorer,
-                                        ctx.before().dictionary(), &expanded);
-    if (auto last = tracer.last(); last.has_value()) {
+    item.explanation = BuildExplanation(
+        item.candidate, item.relatedness, item.novelty,
+        ctx.before().dictionary(), interests.data() + run->terms.offset(index));
+    if (last.has_value()) {
       item.explanation.has_provenance = true;
       item.explanation.provenance_record = *last;
     }
     list.items.push_back(std::move(item));
   }
   list.set_diversity =
-      SetDiversity(candidates, selection, options_.diversity, distances);
+      SetDiversity(candidates, selection, options_.diversity, &run->distances);
   list.category_coverage = CategoryCoverage(candidates, selection);
   list.provenance_trail = tracer.trail();
 
@@ -244,11 +262,13 @@ Result<RecommendationList> Recommender::RecommendForGroup(
     return InvalidArgumentError("cannot recommend to an empty group");
   }
   const measures::EvolutionContext& ctx = *shared.ctx;
-  StageTracer tracer(trace, "recommend_group/" + group.id(), "evorec");
-  tracer.Run("context", "evolution_context",
-             "delta size " + std::to_string(ctx.low_level_delta().size()));
-  tracer.Run("candidates", "candidate_pool",
-             std::to_string(shared.pool.size()) + " candidates");
+  StageTracer tracer(trace, "recommend_group/", group.id());
+  tracer.Run("context", "evolution_context", [&] {
+    return "delta size " + std::to_string(ctx.low_level_delta().size());
+  });
+  tracer.Run("candidates", "candidate_pool", [&] {
+    return std::to_string(shared.pool.size()) + " candidates";
+  });
 
   // The gate applies the *most restrictive* view: a term is visible to
   // the group only if every member may see it. Implemented by
@@ -265,18 +285,20 @@ Result<RecommendationList> Recommender::RecommendForGroup(
     redacted_total += gated.redacted_terms;
     dropped_total += gated.dropped_candidates;
   }
-  tracer.Run("anonymity_gate", "gated_pool",
-             std::to_string(candidates.size()) + " visible");
+  tracer.Run("anonymity_gate", "gated_pool", [&] {
+    return std::to_string(candidates.size()) + " visible";
+  });
 
   const RelatednessScorer scorer(ctx, options_.relatedness);
   GroupSelectOptions group_options = options_.group;
   group_options.package_size = options_.package_size;
   GroupSelection selected =
       SelectForGroup(candidates, group, scorer, group_options);
-  tracer.Run("selection", "package",
-             std::to_string(selected.selection.size()) +
-                 " measures selected (fairness_aware=" +
-                 (group_options.fairness_aware ? "yes" : "no") + ")");
+  tracer.Run("selection", "package", [&] {
+    return std::to_string(selected.selection.size()) +
+           " measures selected (fairness_aware=" +
+           (group_options.fairness_aware ? "yes" : "no") + ")";
+  });
 
   RecommendationList list;
   list.candidate_pool_size = candidates.size();
@@ -285,6 +307,13 @@ Result<RecommendationList> Recommender::RecommendForGroup(
   list.fairness = selected.fairness;
   list.set_diversity = selected.set_diversity;
   list.category_coverage = CategoryCoverage(candidates, selected.selection);
+  list.items.reserve(selected.selection.size());
+  // Items are explained from the first member's point of view; their
+  // relatedness is utilities[0][index], the same ScoreExpanded value.
+  const profile::HumanProfile& lead = group.members()[0];
+  const std::unordered_map<rdf::TermId, double> lead_interests =
+      scorer.ExpandInterests(lead);
+  const std::optional<provenance::RecordId> last = tracer.last();
   for (size_t index : selected.selection) {
     RecommendationItem item;
     item.candidate = candidates[index];
@@ -295,9 +324,12 @@ Result<RecommendationList> Recommender::RecommendForGroup(
     }
     item.relatedness = mean_utility / static_cast<double>(group.size());
     item.novelty = 0.0;
-    item.explanation = BuildExplanation(item.candidate, group.members()[0],
-                                        scorer, ctx.before().dictionary());
-    if (auto last = tracer.last(); last.has_value()) {
+    item.explanation = BuildExplanation(
+        item.candidate, selected.utilities[0][index],
+        NoveltyScore(lead, item.candidate),
+        ctx.before().dictionary(),
+        TopTermInterests(item.candidate, lead_interests).data());
+    if (last.has_value()) {
       item.explanation.has_provenance = true;
       item.explanation.provenance_record = *last;
     }

@@ -43,19 +43,23 @@ struct RecommenderOptions {
 
 /// The user-independent half of a recommendation run: the candidate
 /// pool generated for one (context, options) pair, shared verbatim by
-/// every user and group asking about that version pair. Per-run state
-/// (gating, scoring, selection, explanation) stays inside the
-/// Recommend* calls, so one SharedRunState may serve many concurrent
-/// runs. `ctx` must outlive the state.
+/// every user and group asking about that version pair, plus the
+/// scoring and selection inputs derived from it alone.
+/// Per-run state (gating, scoring, selection, explanation) stays
+/// inside the Recommend* calls, so one SharedRunState may serve many
+/// concurrent runs. `ctx` must outlive the state.
 struct SharedRunState {
   const measures::EvolutionContext* ctx = nullptr;
-  /// Pre-gate candidate pool (per-user gating works on a copy).
+  /// Pre-gate candidate pool. Without an access policy every user is
+  /// scored straight off it; a policy gates a per-user copy.
   std::vector<MeasureCandidate> pool;
-  /// normalized[i] == pool[i].report.Normalized() — user-independent
-  /// scoring input computed once for all users.
-  std::vector<measures::MeasureReport> normalized;
+  /// weights[i] == ComputeTopTermWeights(pool[i]) and `terms` indexes
+  /// the pool's top terms — the user-independent relatedness inputs.
+  /// Empty for PreparePool states.
+  std::vector<TopTermWeights> weights;
+  TopTermIndex terms;
   /// Pairwise candidate distances under the recommender's diversity
-  /// kind — user-independent selection input computed once.
+  /// kind — the selection input. Empty for PreparePool states.
   DistanceMatrix distances;
 };
 
@@ -112,8 +116,8 @@ class Recommender {
   void AttachAccessPolicy(const anonymity::AccessPolicy* policy);
 
   /// Builds the user-independent shared state for `ctx` by computing
-  /// every measure through the registry. Includes the scoring/
-  /// selection accelerators (normalised reports, distance matrix);
+  /// every measure through the registry. Includes the scoring and
+  /// selection inputs (top-term weights and index, distance matrix);
   /// PreparePool builds only the candidate pool for pipelines that
   /// don't read them (group runs, gated per-call runs).
   Result<SharedRunState> PrepareShared(
@@ -137,9 +141,11 @@ class Recommender {
       profile::HumanProfile& prof) const;
 
   /// Serving path: same pipeline over a prepared shared state. Safe to
-  /// call concurrently for distinct profiles against one state (the
-  /// per-run stages work on a copy of the pool), and byte-identical to
-  /// the context overload given equivalent shared state.
+  /// call concurrently for distinct profiles against one state (every
+  /// run only reads it: without an access policy the pool is scored in
+  /// place, with one the gate works on a per-run copy), and
+  /// byte-identical to the context overload given equivalent shared
+  /// state.
   Result<RecommendationList> RecommendForUser(
       const SharedRunState& shared, profile::HumanProfile& prof) const;
 

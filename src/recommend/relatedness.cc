@@ -21,9 +21,12 @@ std::unordered_map<rdf::TermId, double> RelatednessScorer::ExpandInterests(
     // BFS from every seeded interest through both versions'
     // hierarchies; combine weights with max so repeated paths don't
     // inflate.
+    std::unordered_map<rdf::TermId, size_t> hop;
+    std::deque<rdf::TermId> queue;
     for (const auto& [seed, weight] : profile.interests()) {
-      std::unordered_map<rdf::TermId, size_t> hop{{seed, 0}};
-      std::deque<rdf::TermId> queue{seed};
+      hop.clear();
+      hop.emplace(seed, 0);
+      queue.push_back(seed);
       while (!queue.empty()) {
         const rdf::TermId node = queue.front();
         queue.pop_front();
@@ -65,37 +68,94 @@ std::unordered_map<rdf::TermId, double> RelatednessScorer::ExpandInterests(
   return expanded;
 }
 
+TopTermWeights ComputeTopTermWeights(const MeasureCandidate& candidate) {
+  // Min-max normalisation as in MeasureReport::Normalized(), applied
+  // only to the top terms' first entries (what Normalized().ScoreOf
+  // reads); constant reports normalise to all-zeros.
+  const std::vector<measures::ScoredTerm>& scores = candidate.report.scores();
+  double lo = scores.empty() ? 0.0 : scores[0].score;
+  double hi = lo;
+  for (const measures::ScoredTerm& s : scores) {
+    lo = std::min(lo, s.score);
+    hi = std::max(hi, s.score);
+  }
+  const double span = hi - lo;
+  TopTermWeights out;
+  out.weights.reserve(candidate.top_terms.size());
+  for (rdf::TermId term : candidate.top_terms) {
+    double normalized = 0.0;
+    for (const measures::ScoredTerm& s : scores) {
+      if (s.term == term) {
+        normalized = span > 0.0 ? (s.score - lo) / span : 0.0;
+        break;
+      }
+    }
+    const double w = std::max(normalized, 0.1);
+    out.weights.push_back(w);
+    out.total += w;
+  }
+  return out;
+}
+
+std::vector<const double*> TopTermInterests(
+    const MeasureCandidate& candidate,
+    const std::unordered_map<rdf::TermId, double>& expanded_interests) {
+  std::vector<const double*> interests;
+  interests.reserve(candidate.top_terms.size());
+  for (rdf::TermId term : candidate.top_terms) {
+    auto it = expanded_interests.find(term);
+    interests.push_back(it == expanded_interests.end() ? nullptr
+                                                       : &it->second);
+  }
+  return interests;
+}
+
+TopTermIndex::TopTermIndex(const std::vector<MeasureCandidate>& pool) {
+  offsets_.reserve(pool.size() + 1);
+  for (const MeasureCandidate& candidate : pool) {
+    offsets_.push_back(occurrences_.size());
+    for (rdf::TermId term : candidate.top_terms) {
+      occurrences_.emplace_back(term,
+                                static_cast<uint32_t>(occurrences_.size()));
+    }
+  }
+  offsets_.push_back(occurrences_.size());
+  std::sort(occurrences_.begin(), occurrences_.end());
+}
+
+std::vector<const double*> TopTermIndex::Gather(
+    const std::unordered_map<rdf::TermId, double>& expanded_interests) const {
+  std::vector<const double*> interests(occurrences_.size(), nullptr);
+  for (const auto& [term, interest] : expanded_interests) {
+    for (auto it = std::lower_bound(occurrences_.begin(), occurrences_.end(),
+                                    std::make_pair(term, uint32_t{0}));
+         it != occurrences_.end() && it->first == term; ++it) {
+      interests[it->second] = &interest;
+    }
+  }
+  return interests;
+}
+
 double RelatednessScorer::Score(const profile::HumanProfile& profile,
                                 const MeasureCandidate& candidate) const {
   if (candidate.top_terms.empty()) return 0.0;
-  return ScoreExpanded(ExpandInterests(profile), profile, candidate);
+  const std::unordered_map<rdf::TermId, double> expanded =
+      ExpandInterests(profile);
+  return ScoreExpanded(TopTermInterests(candidate, expanded).data(), profile,
+                       candidate, ComputeTopTermWeights(candidate));
 }
 
-double RelatednessScorer::ScoreExpanded(
-    const std::unordered_map<rdf::TermId, double>& expanded_interests,
-    const profile::HumanProfile& profile, const MeasureCandidate& candidate,
-    const measures::MeasureReport* normalized) const {
+double RelatednessScorer::ScoreExpanded(const double* const* interests,
+                                        const profile::HumanProfile& profile,
+                                        const MeasureCandidate& candidate,
+                                        const TopTermWeights& weights) const {
   if (candidate.top_terms.empty()) return 0.0;
-  measures::MeasureReport local;
-  if (normalized == nullptr) {
-    local = candidate.report.Normalized();
-    normalized = &local;
-  }
   double weighted = 0.0;
-  double weight_total = 0.0;
-  for (rdf::TermId term : candidate.top_terms) {
-    // Rank-independent weight: the candidate's normalised score, with
-    // a floor so that a candidate whose scores are all equal still
-    // differentiates by interest overlap.
-    const double w = std::max(normalized->ScoreOf(term), 0.1);
-    weight_total += w;
-    auto it = expanded_interests.find(term);
-    if (it != expanded_interests.end()) {
-      weighted += w * it->second;
-    }
+  for (size_t t = 0; t < candidate.top_terms.size(); ++t) {
+    if (interests[t] != nullptr) weighted += weights.weights[t] * *interests[t];
   }
-  if (weight_total <= 0.0) return 0.0;
-  double score = weighted / weight_total;
+  if (weights.total <= 0.0) return 0.0;
+  double score = weighted / weights.total;
   if (options_.use_category_affinity) {
     score *= profile.CategoryAffinity(candidate.measure.category);
   }

@@ -1,7 +1,10 @@
 #ifndef EVOREC_RECOMMEND_RELATEDNESS_H_
 #define EVOREC_RECOMMEND_RELATEDNESS_H_
 
+#include <cstdint>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "measures/measure_context.h"
 #include "profile/profile.h"
@@ -21,6 +24,56 @@ struct RelatednessOptions {
   /// Multiply scores by the profile's affinity for the measure's
   /// category.
   bool use_category_affinity = true;
+};
+
+/// The user-independent half of a candidate's relatedness score: one
+/// weight per top term, aligned with candidate.top_terms, plus their
+/// sum. A term's weight is its min-max normalised report score with a
+/// floor of 0.1, so a candidate whose scores are all equal still
+/// differentiates by interest overlap.
+struct TopTermWeights {
+  std::vector<double> weights;
+  double total = 0.0;
+};
+
+/// The weights of `candidate`'s top terms. Shared pools compute them
+/// once for all users; gated and group pools once per candidate.
+TopTermWeights ComputeTopTermWeights(const MeasureCandidate& candidate);
+
+/// A profile's expanded interest in each of `candidate`'s top terms,
+/// aligned with top_terms: a pointer into `expanded_interests`, or
+/// nullptr where the profile has no interest in the term.
+std::vector<const double*> TopTermInterests(
+    const MeasureCandidate& candidate,
+    const std::unordered_map<rdf::TermId, double>& expanded_interests);
+
+/// Where the top terms of a candidate pool occur. A pool's candidates
+/// share most of their top terms and a profile's expanded interests
+/// are few, so Gather finds each interest's occurrences instead of
+/// probing the interests once per (candidate, top term).
+class TopTermIndex {
+ public:
+  TopTermIndex() = default;
+  explicit TopTermIndex(const std::vector<MeasureCandidate>& pool);
+
+  /// Number of candidates the index covers.
+  size_t size() const {
+    return offsets_.empty() ? 0 : offsets_.size() - 1;
+  }
+  /// Position of pool[i]'s first top term in Gather's output.
+  size_t offset(size_t i) const { return offsets_[i]; }
+
+  /// TopTermInterests of every candidate of the pool, concatenated in
+  /// pool order (pool[i]'s start at offset(i)).
+  std::vector<const double*> Gather(
+      const std::unordered_map<rdf::TermId, double>& expanded_interests)
+      const;
+
+ private:
+  /// (term, position in Gather's output) of every top term of the
+  /// pool, sorted by term.
+  std::vector<std::pair<rdf::TermId, uint32_t>> occurrences_;
+  std::vector<size_t> offsets_;
 };
 
 /// Scores how related a candidate is to a human's interests: the
@@ -46,15 +99,15 @@ class RelatednessScorer {
   double Score(const profile::HumanProfile& profile,
                const MeasureCandidate& candidate) const;
 
-  /// Score() with the per-run state hoisted out: `expanded_interests`
-  /// is ExpandInterests(profile) computed once for a whole pool, and
-  /// `normalized` (optional) is candidate.report.Normalized() computed
-  /// once for all users. Numerically identical to Score() — the
-  /// serving loops depend on that.
-  double ScoreExpanded(
-      const std::unordered_map<rdf::TermId, double>& expanded_interests,
-      const profile::HumanProfile& profile, const MeasureCandidate& candidate,
-      const measures::MeasureReport* normalized = nullptr) const;
+  /// Score() with the per-run state hoisted out: `interests` is
+  /// TopTermInterests(candidate, ExpandInterests(profile)) (or the
+  /// candidate's slice of a TopTermIndex::Gather) and `weights` is
+  /// ComputeTopTermWeights(candidate). Numerically identical to
+  /// Score() — the serving loops depend on that.
+  double ScoreExpanded(const double* const* interests,
+                       const profile::HumanProfile& profile,
+                       const MeasureCandidate& candidate,
+                       const TopTermWeights& weights) const;
 
   const RelatednessOptions& options() const { return options_; }
 

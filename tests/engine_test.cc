@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "engine/recommendation_service.h"
+#include "expect_identical_lists.h"
 #include "measures/change_count.h"
 #include "workload/scenarios.h"
 
@@ -29,29 +30,7 @@ workload::Scenario SmallScenario(uint64_t seed = 7) {
   return workload::MakeDbpediaLike(seed, scale);
 }
 
-// Full structural comparison of two delivered lists, including the
-// rendered explanation text and the provenance trail ordering.
-void ExpectIdenticalLists(const recommend::RecommendationList& a,
-                          const recommend::RecommendationList& b) {
-  ASSERT_EQ(a.items.size(), b.items.size());
-  for (size_t i = 0; i < a.items.size(); ++i) {
-    const recommend::RecommendationItem& x = a.items[i];
-    const recommend::RecommendationItem& y = b.items[i];
-    EXPECT_EQ(x.candidate.id, y.candidate.id);
-    EXPECT_EQ(x.candidate.top_terms, y.candidate.top_terms);
-    EXPECT_EQ(x.candidate.report.scores().size(),
-              y.candidate.report.scores().size());
-    EXPECT_EQ(x.relatedness, y.relatedness);
-    EXPECT_EQ(x.novelty, y.novelty);
-    EXPECT_EQ(x.explanation.ToText(), y.explanation.ToText());
-  }
-  EXPECT_EQ(a.set_diversity, b.set_diversity);
-  EXPECT_EQ(a.category_coverage, b.category_coverage);
-  EXPECT_EQ(a.candidate_pool_size, b.candidate_pool_size);
-  EXPECT_EQ(a.redacted_terms, b.redacted_terms);
-  EXPECT_EQ(a.dropped_candidates, b.dropped_candidates);
-  EXPECT_EQ(a.provenance_trail, b.provenance_trail);
-}
+using test_support::ExpectIdenticalLists;
 
 TEST(EvaluationEngineTest, SecondEvaluateHitsTheCache) {
   workload::Scenario scenario = SmallScenario();

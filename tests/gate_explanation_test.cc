@@ -100,8 +100,10 @@ TEST(ExplanationTest, CarriesMeasureStoryAndMatches) {
   user.SetInterest(cls, 1.0);
 
   const MeasureCandidate candidate = MakeCandidate("test_measure", {cls});
-  const Explanation e =
-      BuildExplanation(candidate, user, scorer, before.dictionary());
+  const Explanation e = BuildExplanation(
+      candidate, scorer.Score(user, candidate), NoveltyScore(user, candidate),
+      before.dictionary(),
+      TopTermInterests(candidate, scorer.ExpandInterests(user)).data());
   EXPECT_EQ(e.measure_name, "test_measure");
   EXPECT_GT(e.relatedness, 0.0);
   ASSERT_EQ(e.top_affected.size(), 1u);
