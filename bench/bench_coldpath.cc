@@ -40,7 +40,6 @@ std::unique_ptr<version::VersionedKnowledgeBase> MakeSchemaHeavyChain(
   instance_options.seed = seed + 1;
   workload::PopulateInstances(generated, instance_options);
   auto vkb = std::make_unique<version::VersionedKnowledgeBase>(
-      version::ArchivePolicy::kFullMaterialization,
       std::move(generated.kb));
   for (size_t v = 0; v < kTransitions; ++v) {
     auto head = vkb->Snapshot(vkb->head());

@@ -1,10 +1,15 @@
 // E1 — low-level delta computation and archive policies (paper §II.a).
 // Table 1: |δ+|, |δ−|, |δ| and delta-computation wall clock across KB
 // scale and change ratio. Table 2: archive policy ablation — storage
-// and snapshot reconstruction cost, full materialisation vs delta
-// chain.
+// and snapshot cost of the library's one representation (pinned
+// segment-sharing snapshots) against bench-local emulations of the
+// delta-chain and hybrid policies of [13].
 
 #include <benchmark/benchmark.h>
+
+#include <memory>
+#include <unordered_set>
+#include <vector>
 
 #include "bench_common.h"
 
@@ -41,12 +46,11 @@ void PrintDeltaScalingTable() {
 // instances, 7000 edges base; `versions` x `ops_per_version` evolution
 // steps) — shared by the E1b table and the replay benchmarks so they
 // measure the same workload.
-version::VersionedKnowledgeBase MakeVersionChain(version::ArchivePolicy policy,
-                                                 size_t versions,
+version::VersionedKnowledgeBase MakeVersionChain(size_t versions,
                                                  size_t ops_per_version) {
   TwoVersionWorkload w =
       MakeTwoVersionWorkload(200, 4000, 7000, 100, /*seed=*/23);
-  version::VersionedKnowledgeBase vkb(policy, w.generated.kb);
+  version::VersionedKnowledgeBase vkb(w.generated.kb);
   for (size_t v = 0; v < versions; ++v) {
     workload::EvolutionOptions options;
     options.operations = ops_per_version;
@@ -57,40 +61,92 @@ version::VersionedKnowledgeBase MakeVersionChain(version::ArchivePolicy policy,
         workload::GenerateEvolution(**head, vkb.dictionary(), options);
     (void)vkb.Commit(outcome.changes, "bench", "step");
   }
-  vkb.EvictSnapshotCache();
   return vkb;
 }
 
+// Bench-local emulation of the delta-chain and hybrid archive policies
+// of [13], which the library no longer implements (the way E13 keeps
+// its pre-change path). Only the checkpoints are materialised — the
+// base, plus every `interval`-th version for the hybrid — and a version
+// is rebuilt by copying the nearest checkpoint at or below it,
+// replaying the archived change sets after it, and running one Compact.
+struct EmulatedArchive {
+  // 0 = delta chain (the base is the only checkpoint).
+  version::VersionId interval = 0;
+  // checkpoints[k] is version k * interval.
+  std::vector<std::shared_ptr<const rdf::KnowledgeBase>> checkpoints;
+  // changes[v] produced version v; changes[0] is empty.
+  std::vector<version::ChangeSet> changes;
+
+  EmulatedArchive(const version::VersionedKnowledgeBase& vkb,
+                  version::VersionId checkpoint_interval)
+      : interval(checkpoint_interval), changes(1) {
+    for (version::VersionId v = 0; v <= vkb.head(); ++v) {
+      if (v == 0 || (interval > 0 && v % interval == 0)) {
+        checkpoints.push_back(vkb.SharedSnapshot(v).value());
+      }
+      if (v > 0) changes.push_back(vkb.Changes(v).value());
+    }
+  }
+
+  rdf::KnowledgeBase Materialize(version::VersionId v) const {
+    const version::VersionId k = interval == 0 ? 0 : v / interval;
+    const version::VersionId start = k * interval;
+    rdf::KnowledgeBase kb = *checkpoints[k];
+    for (version::VersionId i = start + 1; i <= v; ++i) {
+      kb.store().AddAll(changes[i].additions);
+      kb.store().RemoveAll(changes[i].removals);
+    }
+    kb.store().Compact();
+    return kb;
+  }
+
+  // Dedup bytes, the accounting VersionedKnowledgeBase::StorageBytes uses.
+  size_t StorageBytes() const {
+    std::unordered_set<const void*> seen;
+    size_t bytes = 0;
+    for (const auto& kb : checkpoints) {
+      bytes += kb->store().MemoryBytesDedup(seen);
+    }
+    for (const version::ChangeSet& cs : changes) {
+      bytes += cs.size() * sizeof(rdf::Triple);
+    }
+    return bytes;
+  }
+};
+
 void PrintArchivePolicyTable() {
   PrintHeader("E1b — archive policy ablation (cf. [13])",
-              "delta chains trade snapshot latency for storage");
-  // "sec_idx_builds" counts POS/OSP builds performed by the head/mid
-  // reconstructions — the SPO-only replay path must keep it at 0.
+              "segment-sharing snapshots read in O(1) at close to a delta "
+              "chain's storage");
+  // "storage" is dedup bytes: a frozen segment shared by several
+  // versions is billed once. "sec_idx_builds" counts POS/OSP builds
+  // performed by the head/mid reads — the SPO-only replay path must
+  // keep it at 0.
   TablePrinter table({"policy", "versions", "storage", "snapshot_head_ms",
                       "snapshot_mid_ms", "sec_idx_builds"});
-  for (auto policy : {version::ArchivePolicy::kFullMaterialization,
-                      version::ArchivePolicy::kDeltaChain,
-                      version::ArchivePolicy::kHybridCheckpoint}) {
-    auto vkb = MakeVersionChain(policy, 12, 120);
+  const version::VersionedKnowledgeBase vkb = MakeVersionChain(12, 120);
+  const auto add_row = [&](const char* name, size_t bytes, const auto& read) {
     Stopwatch head_timer;
-    auto head = vkb.MaterializeUncached(vkb.head());
+    const rdf::KnowledgeBase head = read(vkb.head());
     const double head_ms = head_timer.ElapsedMillis();
     Stopwatch mid_timer;
-    auto mid = vkb.MaterializeUncached(vkb.head() / 2);
+    const rdf::KnowledgeBase mid = read(vkb.head() / 2);
     const double mid_ms = mid_timer.ElapsedMillis();
-    const uint64_t sec_idx_builds =
-        head->store().stats().secondary_builds() +
-        mid->store().stats().secondary_builds();
-    const char* policy_name =
-        policy == version::ArchivePolicy::kFullMaterialization
-            ? "full_materialization"
-            : policy == version::ArchivePolicy::kDeltaChain
-                  ? "delta_chain"
-                  : "hybrid_checkpoint(4)";
-    table.AddRow(
-        {policy_name, TablePrinter::Cell(vkb.version_count()),
-         HumanBytes(vkb.StorageBytes()), TablePrinter::Cell(head_ms, 2),
-         TablePrinter::Cell(mid_ms, 2), TablePrinter::Cell(sec_idx_builds)});
+    const uint64_t sec_idx_builds = head.store().stats().secondary_builds() +
+                                    mid.store().stats().secondary_builds();
+    table.AddRow({name, TablePrinter::Cell(vkb.version_count()),
+                  HumanBytes(bytes), TablePrinter::Cell(head_ms, 2),
+                  TablePrinter::Cell(mid_ms, 2),
+                  TablePrinter::Cell(sec_idx_builds)});
+  };
+  add_row("full_materialization", vkb.StorageBytes(),
+          [&](version::VersionId v) { return **vkb.SharedSnapshot(v); });
+  for (version::VersionId interval : {0u, 4u}) {
+    const EmulatedArchive archive(vkb, interval);
+    add_row(interval == 0 ? "delta_chain" : "hybrid_checkpoint(4)",
+            archive.StorageBytes(),
+            [&](version::VersionId v) { return archive.Materialize(v); });
   }
   table.Print(std::cout);
 }
@@ -119,21 +175,21 @@ void BM_PerTermIndex(benchmark::State& state) {
 }
 BENCHMARK(BM_PerTermIndex);
 
-// The E1 replay row: reconstruct the head snapshot from the base plus
-// the delta chain — the hot loop behind every historical measure.
+// The E1 replay row: reconstruct the head snapshot from the emulated
+// delta chain (arg 0) or hybrid with a checkpoint every 4 versions
+// (arg 4).
 void BM_SnapshotReplay(benchmark::State& state) {
-  const auto policy = static_cast<version::ArchivePolicy>(state.range(0));
-  auto vkb = MakeVersionChain(policy, 12, 120);
+  const version::VersionedKnowledgeBase vkb = MakeVersionChain(12, 120);
+  const EmulatedArchive archive(
+      vkb, static_cast<version::VersionId>(state.range(0)));
   for (auto _ : state) {
-    auto kb = vkb.MaterializeUncached(vkb.head());
-    benchmark::DoNotOptimize(kb->size());
+    auto kb = archive.Materialize(vkb.head());
+    benchmark::DoNotOptimize(kb.size());
   }
-  auto head = vkb.MaterializeUncached(vkb.head());
-  state.counters["triples"] = static_cast<double>(head->size());
+  state.counters["triples"] =
+      static_cast<double>(archive.Materialize(vkb.head()).size());
 }
-BENCHMARK(BM_SnapshotReplay)
-    ->Arg(static_cast<int>(version::ArchivePolicy::kDeltaChain))
-    ->Arg(static_cast<int>(version::ArchivePolicy::kHybridCheckpoint));
+BENCHMARK(BM_SnapshotReplay)->Arg(0)->Arg(4);
 
 // Repeated small-delta Compact(): the per-commit indexing cost. Each
 // iteration applies a 64-triple add batch plus a 64-triple remove
@@ -195,20 +251,17 @@ void BM_RepeatedSmallDeltaCompactAllIndexes(benchmark::State& state) {
 BENCHMARK(BM_RepeatedSmallDeltaCompactAllIndexes)->Arg(20000)->Arg(100000);
 
 void BM_CommitThroughput(benchmark::State& state) {
-  const auto policy = static_cast<version::ArchivePolicy>(state.range(0));
   TwoVersionWorkload w =
       MakeTwoVersionWorkload(100, 2000, 3500, 100, /*seed=*/29);
   for (auto _ : state) {
     state.PauseTiming();
-    version::VersionedKnowledgeBase vkb(policy, w.generated.kb);
+    version::VersionedKnowledgeBase vkb(w.generated.kb);
     state.ResumeTiming();
     (void)vkb.Commit(w.outcome.changes, "bench", "step");
     benchmark::DoNotOptimize(vkb.version_count());
   }
 }
-BENCHMARK(BM_CommitThroughput)
-    ->Arg(static_cast<int>(version::ArchivePolicy::kFullMaterialization))
-    ->Arg(static_cast<int>(version::ArchivePolicy::kDeltaChain));
+BENCHMARK(BM_CommitThroughput);
 
 }  // namespace
 }  // namespace evorec::bench

@@ -39,7 +39,7 @@ std::unique_ptr<version::VersionedKnowledgeBase> MakeBase(uint64_t seed) {
   instance_options.seed = seed + 1;
   workload::PopulateInstances(generated, instance_options);
   auto vkb = std::make_unique<version::VersionedKnowledgeBase>(
-      version::ArchivePolicy::kFullMaterialization, std::move(generated.kb));
+      std::move(generated.kb));
   auto head = vkb->Snapshot(vkb->head());
   workload::EvolutionOptions evolution_options;
   evolution_options.operations = kClasses;

@@ -50,8 +50,7 @@ version::VersionedKnowledgeBase Regenerate(const PersistenceScale& scale,
   instance_options.seed = seed + 1;
   workload::PopulateInstances(generated, instance_options);
 
-  version::VersionedKnowledgeBase vkb(version::ArchivePolicy::kDeltaChain,
-                                      std::move(generated.kb));
+  version::VersionedKnowledgeBase vkb(std::move(generated.kb));
   if (log != nullptr) vkb.AttachCommitLog(log);
   for (uint32_t v = 0; v < scale.versions; ++v) {
     auto head = vkb.Snapshot(vkb.head());

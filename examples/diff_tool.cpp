@@ -85,8 +85,7 @@ int Run(const std::string& before_text, const std::string& after_text,
   // Lift the pair into a two-version KB and serve it through the
   // engine: the context and every measure report are built once and
   // memoized, exactly like the serving examples.
-  version::VersionedKnowledgeBase vkb(version::ArchivePolicy::kDeltaChain,
-                                      before);
+  version::VersionedKnowledgeBase vkb(before);
   version::ChangeSet changes;
   changes.additions = rdf::TripleStore::Difference(after.store(),
                                                    before.store());

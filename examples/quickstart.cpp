@@ -31,8 +31,7 @@ int main() {
 
   // 2. Commit it into a versioned store and apply one transition:
   //    new students arrive, alice moves to rome.
-  version::VersionedKnowledgeBase vkb(
-      version::ArchivePolicy::kFullMaterialization, v1);
+  version::VersionedKnowledgeBase vkb(v1);
   version::ChangeSet changes;
   auto& dict = vkb.dictionary();
   const auto& voc = vkb.vocabulary();

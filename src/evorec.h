@@ -102,6 +102,7 @@
 #include "version/recovery.h"
 #include "version/sharded_kb.h"
 #include "version/version.h"
+#include "version/version_history.h"
 #include "version/versioned_kb.h"
 #include "workload/evolution_generator.h"
 #include "workload/instance_generator.h"

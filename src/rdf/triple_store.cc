@@ -346,23 +346,6 @@ const std::vector<std::shared_ptr<const Segment>>& TripleStore::segments()
   return segments_;
 }
 
-size_t TripleStore::MemoryBytes() const {
-  size_t bytes = 0;
-  for (const auto& seg : segments_) bytes += seg->MemoryBytes();
-  if (pos_) bytes += pos_->capacity() * sizeof(Triple);
-  if (osp_) bytes += osp_->capacity() * sizeof(Triple);
-  // A flat memo that merely aliases the base segment holds no storage
-  // of its own.
-  if (flat_ &&
-      (segments_.empty() || flat_.get() != &segments_.front()->live())) {
-    bytes += flat_->capacity() * sizeof(Triple);
-  }
-  bytes += (backlog_adds_.capacity() + backlog_removes_.capacity()) *
-           sizeof(Triple);
-  bytes += (pending_adds_.size() + pending_removes_.size()) * sizeof(Triple);
-  return bytes;
-}
-
 size_t TripleStore::MemoryBytesDedup(
     std::unordered_set<const void*>& seen) const {
   size_t bytes = 0;

@@ -230,15 +230,11 @@ class TripleStore {
 
   /// Approximate resident bytes of this store's current state
   /// (segments, indexes actually materialised, pending buffers,
-  /// catch-up backlog). Never triggers a compact or an index build.
-  /// Shared segments are counted in full by every holder; use
-  /// MemoryBytesDedup for fleet-wide accounting.
-  size_t MemoryBytes() const;
-
-  /// Like MemoryBytes, but counts each shared immutable component
+  /// catch-up backlog), counting each shared immutable component
   /// (segment, index run) only once across every store probed with the
   /// same `seen` set — the honest footprint of a version chain whose
-  /// snapshots share segments.
+  /// snapshots share segments. Never triggers a compact or an index
+  /// build.
   size_t MemoryBytesDedup(std::unordered_set<const void*>& seen) const;
 
   /// Indexing-work counters for this instance.

@@ -120,17 +120,15 @@ Status ReplayLogInto(RecoveredKb& recovered, std::string_view log_bytes,
 }
 
 /// Turns a decoded snapshot into the base of a RecoveredKb.
-RecoveredKb BuildBase(storage::DecodedSnapshot&& decoded,
-                      const RecoveryOptions& options) {
+RecoveredKb BuildBase(storage::DecodedSnapshot&& decoded) {
   RecoveredKb recovered;
   recovered.base_version = decoded.info.version_id;
   // The bulk sorted-load path: the decoded SPO run becomes the base
   // store directly, and the stored fingerprint seeds the chain.
   rdf::KnowledgeBase base(decoded.dictionary, std::move(decoded.store));
   recovered.vkb = std::make_unique<VersionedKnowledgeBase>(
-      VersionedKnowledgeBase::WithBaseFingerprint(
-          options.policy, std::move(base), decoded.info.fingerprint,
-          options.checkpoint_interval));
+      VersionedKnowledgeBase::WithBaseFingerprint(std::move(base),
+                                                  decoded.info.fingerprint));
   return recovered;
 }
 
@@ -154,7 +152,7 @@ Result<RecoveredKb> RecoverFromDisk(const std::string& snapshot_path,
                                     const RecoveryOptions& options) {
   auto decoded = storage::LoadSnapshot(snapshot_path, options.env);
   if (!decoded.ok()) return decoded.status();
-  RecoveredKb recovered = BuildBase(std::move(*decoded), options);
+  RecoveredKb recovered = BuildBase(std::move(*decoded));
   if (log_path.empty()) return recovered;
 
   auto log_bytes = ReadFileToString(log_path, options.env);
@@ -233,7 +231,7 @@ Result<RecoveredKb> RecoverFromCheckpoints(const std::string& dir,
     const std::string& path = *it;
     auto decoded = storage::LoadSnapshot(path, env);
     if (decoded.ok()) {
-      RecoveredKb recovered = BuildBase(std::move(*decoded), options);
+      RecoveredKb recovered = BuildBase(std::move(*decoded));
       Status replayed = have_log
                             ? ReplayLogInto(recovered, log_bytes, options)
                             : OkStatus();
@@ -266,8 +264,7 @@ Result<RecoveredKb> RecoverFromCheckpoints(const std::string& dir,
   if (have_log) {
     RecoveredKb recovered;
     recovered.base_version = 0;
-    recovered.vkb = std::make_unique<VersionedKnowledgeBase>(
-        options.policy, rdf::KnowledgeBase{}, options.checkpoint_interval);
+    recovered.vkb = std::make_unique<VersionedKnowledgeBase>();
     Status replayed = ReplayLogInto(recovered, log_bytes, options);
     if (replayed.ok()) {
       report.log_only = true;

@@ -29,10 +29,6 @@ namespace evorec::version {
 /// reported as such rather than blamed on a healthy snapshot.
 
 struct RecoveryOptions {
-  /// Archive policy of the restored KB (independent of the original's;
-  /// policies are observationally equivalent).
-  ArchivePolicy policy = ArchivePolicy::kDeltaChain;
-  size_t checkpoint_interval = 4;
   /// Stop cleanly before a torn final log record (WAL semantics)
   /// instead of failing recovery.
   bool allow_torn_tail = true;

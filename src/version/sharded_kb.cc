@@ -1,6 +1,8 @@
 #include "version/sharded_kb.h"
 
 #include <algorithm>
+#include <unordered_set>
+#include <utility>
 
 #include "common/hash.h"
 #include "rdf/segment.h"
@@ -20,6 +22,10 @@ uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
+size_t ShardIndex(rdf::TermId subject, size_t shards) {
+  return static_cast<size_t>(Mix64(subject) % shards);
+}
+
 }  // namespace
 
 ShardedKnowledgeBase::ShardedKnowledgeBase()
@@ -30,95 +36,39 @@ ShardedKnowledgeBase::ShardedKnowledgeBase(Options options)
 
 ShardedKnowledgeBase::ShardedKnowledgeBase(Options options,
                                            rdf::KnowledgeBase initial)
-    : options_(options), dictionary_(initial.shared_dictionary()) {
-  options_.shards = std::max<size_t>(1, options_.shards);
+    : ShardedKnowledgeBase(
+          options.pool,
+          SplitBase(std::max<size_t>(1, options.shards), initial)) {}
 
-  // Split the base snapshot by subject shard. The full scan emits in
-  // SPO order and the split preserves relative order, so each shard's
-  // slice is already sorted-unique — FromSorted adopts it as one
-  // frozen segment without re-sorting.
-  std::vector<std::vector<rdf::Triple>> split(options_.shards);
+ShardedKnowledgeBase::ShardedKnowledgeBase(
+    ThreadPool* pool, std::vector<VersionedKnowledgeBase> shards)
+    : VersionHistory(UnionSnapshot(shards), FoldFingerprints(shards)),
+      pool_(pool),
+      dictionary_(shards.front().shared_dictionary()),
+      shards_(std::move(shards)) {}
+
+std::vector<VersionedKnowledgeBase> ShardedKnowledgeBase::SplitBase(
+    size_t shards, const rdf::KnowledgeBase& initial) {
+  // The full scan emits in SPO order and the split preserves relative
+  // order, so each shard's slice is already sorted-unique — FromSorted
+  // adopts it as one frozen segment without re-sorting.
+  std::vector<std::vector<rdf::Triple>> split(shards);
   initial.store().ScanT(rdf::TriplePattern{}, [&](const rdf::Triple& t) {
-    split[ShardOf(t.subject)].push_back(t);
+    split[ShardIndex(t.subject, shards)].push_back(t);
     return true;
   });
-  shards_.reserve(options_.shards);
-  for (size_t i = 0; i < options_.shards; ++i) {
-    shards_.emplace_back(
-        options_.policy,
-        rdf::KnowledgeBase(dictionary_,
-                           rdf::TripleStore::FromSorted(std::move(split[i]))));
+  std::vector<VersionedKnowledgeBase> out;
+  out.reserve(shards);
+  for (std::vector<rdf::Triple>& slice : split) {
+    out.emplace_back(rdf::KnowledgeBase(
+        initial.shared_dictionary(),
+        rdf::TripleStore::FromSorted(std::move(slice))));
   }
-
-  VersionEntry base;
-  base.fingerprint = FoldFingerprints(0);
-  base.snapshot = BuildUnionSnapshot();
-  base.info.id = 0;
-  base.info.author = "system";
-  base.info.message = "base version";
-  entries_.push_back(std::move(base));
+  return out;
 }
 
 size_t ShardedKnowledgeBase::ShardOf(rdf::TermId subject) const {
-  return static_cast<size_t>(Mix64(subject) % options_.shards);
-}
-
-size_t ShardedKnowledgeBase::version_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
-}
-
-VersionId ShardedKnowledgeBase::head() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<VersionId>(entries_.size() - 1);
-}
-
-Result<SnapshotHandle> ShardedKnowledgeBase::Handle(VersionId v) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (v >= entries_.size()) {
-    return NotFoundError("unknown version " + std::to_string(v));
-  }
-  SnapshotHandle handle;
-  handle.id = v;
-  handle.fingerprint = entries_[v].fingerprint;
-  return handle;
-}
-
-Result<std::shared_ptr<const rdf::KnowledgeBase>>
-ShardedKnowledgeBase::SharedSnapshot(VersionId v) const {
-  std::shared_ptr<const rdf::KnowledgeBase> pinned;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (v >= entries_.size()) {
-      return NotFoundError("unknown version " + std::to_string(v));
-    }
-    pinned = entries_[v].snapshot;
-  }
-  // Hand each caller its own segment-sharing copy rather than the
-  // pinned store itself: a TripleStore is thread-compatible, not
-  // thread-safe — concurrent first-use POS/OSP builds on one shared
-  // store would race. The copy is O(#segments) pointer sharing, zero
-  // triple copies, and gives the caller private lazy indexes.
-  return std::make_shared<const rdf::KnowledgeBase>(*pinned);
-}
-
-Result<ChangeSet> ShardedKnowledgeBase::Changes(VersionId v) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (v >= entries_.size()) {
-    return NotFoundError("unknown version " + std::to_string(v));
-  }
-  if (v == 0) {
-    return FailedPreconditionError("version 0 has no change set");
-  }
-  return entries_[v].changes;
-}
-
-Result<VersionInfo> ShardedKnowledgeBase::Info(VersionId v) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (v >= entries_.size()) {
-    return NotFoundError("unknown version " + std::to_string(v));
-  }
-  return entries_[v].info;
+  return ShardIndex(subject, shards_.size());
 }
 
 Result<VersionId> ShardedKnowledgeBase::Commit(ChangeSet changes,
@@ -147,8 +97,8 @@ Result<VersionId> ShardedKnowledgeBase::Commit(ChangeSet changes,
                                     timestamp);
     statuses[i] = result.status();
   };
-  if (options_.pool != nullptr && n > 1) {
-    options_.pool->ParallelFor(n, commit_shard);
+  if (pool_ != nullptr && n > 1) {
+    pool_->ParallelFor(n, commit_shard);
   } else {
     for (size_t i = 0; i < n; ++i) commit_shard(i);
   }
@@ -158,55 +108,43 @@ Result<VersionId> ShardedKnowledgeBase::Commit(ChangeSet changes,
     if (!s.ok()) return s;
   }
 
-  VersionEntry entry;
-  entry.fingerprint = FoldFingerprints(shards_[0].head());
-  entry.snapshot = BuildUnionSnapshot();
-  entry.changes = std::move(changes);
-  entry.info.author = std::move(author);
-  entry.info.message = std::move(message);
-  entry.info.timestamp = timestamp;
-  entry.info.additions = entry.changes.additions.size();
-  entry.info.removals = entry.changes.removals.size();
-
-  // Publish: the only point the committer touches reader-visible
-  // state, held just long enough for one vector append.
-  std::lock_guard<std::mutex> lock(mu_);
-  const VersionId new_id = static_cast<VersionId>(entries_.size());
-  entry.info.id = new_id;
-  entries_.push_back(std::move(entry));
-  return new_id;
+  return Publish(std::move(changes), std::move(author), std::move(message),
+                 timestamp, FoldFingerprints(shards_),
+                 std::make_shared<const rdf::KnowledgeBase>(
+                     UnionSnapshot(shards_)));
 }
 
-uint64_t ShardedKnowledgeBase::FoldFingerprints(VersionId v) const {
+uint64_t ShardedKnowledgeBase::FoldFingerprints(
+    const std::vector<VersionedKnowledgeBase>& shards) {
   // Seed + shard count + per-shard chained fingerprints: equal folds
   // denote identical content, identical TermId mapping AND identical
   // sharding layout, so handles stay valid engine cache keys.
   size_t h = static_cast<size_t>(Fnv1a64("evorec-sharded-kb"));
-  HashCombine(h, shards_.size());
-  for (const VersionedKnowledgeBase& shard : shards_) {
-    auto handle = shard.Handle(v);
-    HashCombine(h, handle.value().fingerprint);
+  HashCombine(h, shards.size());
+  for (const VersionedKnowledgeBase& shard : shards) {
+    HashCombine(h, shard.Handle(shard.head()).value().fingerprint);
   }
   return static_cast<uint64_t>(h);
 }
 
-std::shared_ptr<const rdf::KnowledgeBase>
-ShardedKnowledgeBase::BuildUnionSnapshot() const {
+rdf::KnowledgeBase ShardedKnowledgeBase::UnionSnapshot(
+    const std::vector<VersionedKnowledgeBase>& shards) {
   // Concatenate the shards' frozen segment lists. Subject partitions
   // are disjoint, so no triple appears in two shards and the k-way
   // merged scans of the union store cannot mis-resolve a last-wins
   // tie across sub-lists; the merge restores global SPO order.
   std::vector<std::shared_ptr<const rdf::Segment>> segments;
   size_t total = 0;
-  for (const VersionedKnowledgeBase& shard : shards_) {
-    auto kb = shard.Snapshot(shard.head());
-    const rdf::TripleStore& store = kb.value()->store();
+  for (const VersionedKnowledgeBase& shard : shards) {
+    const rdf::TripleStore& store =
+        shard.Snapshot(shard.head()).value()->store();
     const auto& segs = store.segments();
     segments.insert(segments.end(), segs.begin(), segs.end());
     total += store.size();
   }
-  return std::make_shared<const rdf::KnowledgeBase>(
-      dictionary_, rdf::TripleStore::FromSegments(std::move(segments), total));
+  return rdf::KnowledgeBase(
+      shards.front().shared_dictionary(),
+      rdf::TripleStore::FromSegments(std::move(segments), total));
 }
 
 size_t ShardedKnowledgeBase::StorageBytes() const {
@@ -217,12 +155,7 @@ size_t ShardedKnowledgeBase::StorageBytes() const {
   for (const VersionedKnowledgeBase& shard : shards_) {
     bytes += shard.StorageBytes(seen);
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const VersionEntry& entry : entries_) {
-    bytes += entry.snapshot->store().MemoryBytesDedup(seen);
-    bytes += entry.changes.size() * sizeof(rdf::Triple);
-  }
-  return bytes;
+  return bytes + HistoryBytes(seen);
 }
 
 }  // namespace evorec::version

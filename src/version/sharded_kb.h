@@ -3,17 +3,14 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "rdf/knowledge_base.h"
-#include "version/kb_view.h"
 #include "version/version.h"
+#include "version/version_history.h"
 #include "version/versioned_kb.h"
 
 namespace evorec::version {
@@ -46,13 +43,11 @@ namespace evorec::version {
 /// Not supported: commit logs (attach them to an unsharded KB; the
 /// shard split is an in-memory serving arrangement, not a durability
 /// format).
-class ShardedKnowledgeBase final : public KbView {
+class ShardedKnowledgeBase final : public VersionHistory {
  public:
   struct Options {
     /// Number of subject-hash shards (>= 1).
     size_t shards = 4;
-    /// Archive policy applied per shard.
-    ArchivePolicy policy = ArchivePolicy::kFullMaterialization;
     /// Optional pool for committing shards in parallel. Not owned;
     /// must outlive the KB. nullptr commits shards sequentially.
     ThreadPool* pool = nullptr;
@@ -73,21 +68,14 @@ class ShardedKnowledgeBase final : public KbView {
   ShardedKnowledgeBase(const ShardedKnowledgeBase&) = delete;
   ShardedKnowledgeBase& operator=(const ShardedKnowledgeBase&) = delete;
 
-  // KbView interface. version_count/head/Handle/Changes/SharedSnapshot
-  // take the brief entries mutex; Commit does its heavy work outside
-  // it and only appends under it.
-  size_t version_count() const override;
-  VersionId head() const override;
-  Result<SnapshotHandle> Handle(VersionId v) const override;
-  Result<std::shared_ptr<const rdf::KnowledgeBase>> SharedSnapshot(
-      VersionId v) const override;
-  Result<ChangeSet> Changes(VersionId v) const override;
+  /// Splits `changes` by subject shard, commits the pieces (in
+  /// parallel when a pool is attached), and publishes the union
+  /// snapshot. The read side of KbView (version_count, head, Handle,
+  /// Info, Changes, SharedSnapshot) comes from VersionHistory and only
+  /// takes its brief lock.
   Result<VersionId> Commit(ChangeSet changes, std::string author,
                            std::string message,
                            uint64_t timestamp = 0) override;
-
-  /// Commit metadata for `v`.
-  Result<VersionInfo> Info(VersionId v) const;
 
   size_t shard_count() const { return shards_.size(); }
 
@@ -108,35 +96,31 @@ class ShardedKnowledgeBase final : public KbView {
   rdf::Dictionary& dictionary() { return *dictionary_; }
 
  private:
-  /// One published version: its chained fingerprint, the unsplit
-  /// change set that produced it, and the pinned immutable union
-  /// snapshot readers share.
-  struct VersionEntry {
-    uint64_t fingerprint = 0;
-    ChangeSet changes;
-    std::shared_ptr<const rdf::KnowledgeBase> snapshot;
-    VersionInfo info;
-  };
+  ShardedKnowledgeBase(ThreadPool* pool,
+                       std::vector<VersionedKnowledgeBase> shards);
 
-  /// Folds the shards' fingerprints for version `v` (must exist on
-  /// every shard) into one chain-stable union fingerprint.
-  uint64_t FoldFingerprints(VersionId v) const;
+  /// Splits `initial` by subject into `shards` VersionedKnowledgeBases
+  /// sharing its dictionary.
+  static std::vector<VersionedKnowledgeBase> SplitBase(
+      size_t shards, const rdf::KnowledgeBase& initial);
 
-  /// Concatenates the shards' head-store segment lists into a pinned
-  /// union snapshot (O(total segment count), zero triple copies).
-  std::shared_ptr<const rdf::KnowledgeBase> BuildUnionSnapshot() const;
+  /// Folds the shards' head fingerprints into one chain-stable union
+  /// fingerprint.
+  static uint64_t FoldFingerprints(
+      const std::vector<VersionedKnowledgeBase>& shards);
 
-  Options options_;
+  /// Concatenates the shards' head-store segment lists into one union
+  /// snapshot (O(total segment count), zero triple copies).
+  static rdf::KnowledgeBase UnionSnapshot(
+      const std::vector<VersionedKnowledgeBase>& shards);
+
+  // Options::pool: not owned, nullptr commits shards sequentially.
+  ThreadPool* pool_ = nullptr;
   std::shared_ptr<rdf::Dictionary> dictionary_;
   // Mutated only by the (externally serialised) committer; shard
   // *reads* never happen concurrently with shard commits because
   // readers go through pinned union snapshots instead.
   std::vector<VersionedKnowledgeBase> shards_;
-  // Guards entries_ only — the publish point between the committer
-  // and readers. Held for O(1) appends and lookups, never while
-  // splitting, committing shards, or building the union snapshot.
-  mutable std::mutex mu_;
-  std::vector<VersionEntry> entries_;
 };
 
 }  // namespace evorec::version

@@ -58,20 +58,18 @@ struct ChangeSet {
   size_t size() const { return additions.size() + removals.size(); }
 };
 
-/// How historical versions are stored (cf. archiving policies for
-/// evolving RDF datasets, Stefanidis et al. [13]).
+/// How historical versions are stored (cf. the full, delta and hybrid
+/// archiving policies for evolving RDF datasets, Stefanidis et al.
+/// [13]). There is one representation: every version is fully
+/// materialised as a pinned segment-sharing snapshot, and keeps the
+/// change set that produced it. Consecutive snapshots share every
+/// frozen segment they have in common, which gives full
+/// materialisation's O(1) reads at close to a delta chain's memory, so
+/// the delta-chain and hybrid policies were dropped (EXPERIMENTS.md,
+/// E1, keeps their figures). The enum names that one representation
+/// and has no other value.
 enum class ArchivePolicy {
-  /// Every version keeps a fully materialised triple store
-  /// (independent copies; fast snapshots, high memory).
   kFullMaterialization,
-  /// Only the base snapshot is materialised; later versions store
-  /// change sets and are reconstructed on demand (change-based; low
-  /// memory, snapshot cost linear in chain length).
-  kDeltaChain,
-  /// Change sets plus a full checkpoint every
-  /// `checkpoint_interval` versions: reconstruction replays at most
-  /// `checkpoint_interval − 1` deltas (the hybrid/IC+CB policy).
-  kHybridCheckpoint,
 };
 
 }  // namespace evorec::version

@@ -1,40 +1,50 @@
 #include "version/versioned_kb.h"
 
-#include <algorithm>
-#include <unordered_set>
+#include <utility>
 
 #include "common/hash.h"
 
 namespace evorec::version {
 
-uint64_t VersionedKnowledgeBase::TermContentHash(rdf::TermId id) {
-  if (id >= dictionary_->size()) {
+namespace {
+
+// Content hash of one term, memoized per TermId in `memo` (terms are
+// immutable once interned).
+uint64_t TermContentHash(const rdf::Dictionary& dictionary,
+                         std::vector<uint64_t>& memo, rdf::TermId id) {
+  if (id >= dictionary.size()) {
     // Raw id never interned (id-level callers build triples without a
     // dictionary); the id itself is the only identity available.
     return (0x9E3779B97F4A7C15ULL ^ id) | 1;
   }
-  if (term_hashes_.size() <= id) {
-    term_hashes_.resize(dictionary_->size(), 0);
-  }
-  uint64_t& hash = term_hashes_[id];
+  if (memo.size() <= id) memo.resize(dictionary.size(), 0);
+  uint64_t& hash = memo[id];
   if (hash == 0) {
     // Hash the canonical serialisation, not just the dense id: two
     // KBs whose histories assign the same ids to *different* labels
     // must not collide (a wrong cache hit would serve evaluations
     // about the wrong data). |1 keeps 0 as the "unset" sentinel.
-    hash = Fnv1a64(dictionary_->term(id).ToNTriples()) | 1;
+    hash = Fnv1a64(dictionary.term(id).ToNTriples()) | 1;
   }
   return hash;
 }
 
-uint64_t VersionedKnowledgeBase::HashTriples(
-    uint64_t seed, const std::vector<rdf::Triple>& triples) {
+// Folds one triple into `seed`, hashing term content.
+uint64_t HashTriple(const rdf::Dictionary& dictionary,
+                    std::vector<uint64_t>& memo, uint64_t seed,
+                    const rdf::Triple& t) {
+  size_t h = static_cast<size_t>(seed);
+  HashCombine(h, TermContentHash(dictionary, memo, t.subject));
+  HashCombine(h, TermContentHash(dictionary, memo, t.predicate));
+  HashCombine(h, TermContentHash(dictionary, memo, t.object));
+  return static_cast<uint64_t>(h);
+}
+
+uint64_t HashTriples(const rdf::Dictionary& dictionary,
+                     std::vector<uint64_t>& memo, uint64_t seed,
+                     const std::vector<rdf::Triple>& triples) {
   for (const rdf::Triple& t : triples) {
-    size_t h = static_cast<size_t>(seed);
-    HashCombine(h, TermContentHash(t.subject));
-    HashCombine(h, TermContentHash(t.predicate));
-    HashCombine(h, TermContentHash(t.object));
-    seed = static_cast<uint64_t>(h);
+    seed = HashTriple(dictionary, memo, seed, t);
   }
   return seed;
 }
@@ -42,53 +52,47 @@ uint64_t VersionedKnowledgeBase::HashTriples(
 // Content hash of one change set, chained onto the parent fingerprint.
 // Additions and removals are salted differently so that moving a
 // triple between the two lists changes the hash.
-uint64_t VersionedKnowledgeBase::ChainFingerprint(uint64_t parent,
-                                                  const ChangeSet& changes) {
-  uint64_t fp = HashTriples(parent ^ 0x9E3779B97F4A7C15ULL,
+uint64_t ChainFingerprint(const rdf::Dictionary& dictionary,
+                          std::vector<uint64_t>& memo, uint64_t parent,
+                          const ChangeSet& changes) {
+  uint64_t fp = HashTriples(dictionary, memo, parent ^ 0x9E3779B97F4A7C15ULL,
                             changes.additions);
-  return HashTriples(fp ^ 0xC2B2AE3D27D4EB4FULL, changes.removals);
+  return HashTriples(dictionary, memo, fp ^ 0xC2B2AE3D27D4EB4FULL,
+                     changes.removals);
 }
 
-VersionedKnowledgeBase::VersionedKnowledgeBase(ArchivePolicy policy,
-                                               size_t checkpoint_interval)
-    : VersionedKnowledgeBase(policy, rdf::KnowledgeBase(),
-                             checkpoint_interval) {}
+}  // namespace
 
-VersionedKnowledgeBase::VersionedKnowledgeBase(ArchivePolicy policy,
-                                               rdf::KnowledgeBase initial,
-                                               size_t checkpoint_interval)
-    : VersionedKnowledgeBase(policy, std::move(initial), checkpoint_interval,
-                             std::nullopt) {}
+VersionedKnowledgeBase::Base VersionedKnowledgeBase::HashBase(
+    rdf::KnowledgeBase kb) {
+  std::vector<uint64_t> term_hashes;
+  uint64_t fp = 0xCBF29CE484222325ULL;
+  // A merged scan, not triples(): hashing must not leave a flat copy
+  // of a multi-segment base behind.
+  kb.store().ScanT(rdf::TriplePattern{}, [&](const rdf::Triple& t) {
+    fp = HashTriple(kb.dictionary(), term_hashes, fp, t);
+    return true;
+  });
+  return Base{std::move(kb), fp, std::move(term_hashes)};
+}
+
+VersionedKnowledgeBase::VersionedKnowledgeBase(rdf::KnowledgeBase initial)
+    : VersionedKnowledgeBase(HashBase(std::move(initial))) {}
+
+VersionedKnowledgeBase::VersionedKnowledgeBase(ArchivePolicy /*policy*/,
+                                               rdf::KnowledgeBase initial)
+    : VersionedKnowledgeBase(std::move(initial)) {}
 
 VersionedKnowledgeBase VersionedKnowledgeBase::WithBaseFingerprint(
-    ArchivePolicy policy, rdf::KnowledgeBase base, uint64_t base_fingerprint,
-    size_t checkpoint_interval) {
-  return VersionedKnowledgeBase(policy, std::move(base), checkpoint_interval,
-                                base_fingerprint);
+    rdf::KnowledgeBase base, uint64_t base_fingerprint) {
+  return VersionedKnowledgeBase(Base{std::move(base), base_fingerprint, {}});
 }
 
-VersionedKnowledgeBase::VersionedKnowledgeBase(
-    ArchivePolicy policy, rdf::KnowledgeBase initial,
-    size_t checkpoint_interval, std::optional<uint64_t> base_fingerprint)
-    : policy_(policy),
-      checkpoint_interval_(std::max<size_t>(1, checkpoint_interval)),
-      dictionary_(initial.shared_dictionary()),
-      vocabulary_(rdf::Vocabulary::Intern(*dictionary_)) {
-  VersionInfo base;
-  base.id = 0;
-  base.author = "system";
-  base.message = "base version";
-  infos_.push_back(base);
-  stores_.push_back(std::move(initial));
-  change_sets_.emplace_back();
-  // Base fingerprint: content hash of the canonical (SPO-sorted)
-  // triples, so equal base snapshots fingerprint equally — unless the
-  // caller (recovery) supplies the chained value a snapshot recorded.
-  fingerprints_.push_back(base_fingerprint.has_value()
-                              ? *base_fingerprint
-                              : HashTriples(0xCBF29CE484222325ULL,
-                                            stores_[0].store().triples()));
-}
+VersionedKnowledgeBase::VersionedKnowledgeBase(Base base)
+    : VersionHistory(std::move(base.kb), base.fingerprint),
+      dictionary_(latest().snapshot->shared_dictionary()),
+      vocabulary_(rdf::Vocabulary::Intern(*dictionary_)),
+      term_hashes_(std::move(base.term_hashes)) {}
 
 void VersionedKnowledgeBase::AttachCommitLog(storage::CommitLog* log) {
   log_ = log;
@@ -97,35 +101,23 @@ void VersionedKnowledgeBase::AttachCommitLog(storage::CommitLog* log) {
 
 void VersionedKnowledgeBase::DetachCommitLog() { log_ = nullptr; }
 
-namespace {
-
-rdf::KnowledgeBase ApplyChanges(rdf::KnowledgeBase base,
-                                const ChangeSet& changes) {
-  base.store().AddAll(changes.additions);
-  base.store().RemoveAll(changes.removals);
-  base.store().Compact();
-  return base;
-}
-
-}  // namespace
-
 Result<VersionId> VersionedKnowledgeBase::Commit(ChangeSet changes,
                                                  std::string author,
                                                  std::string message,
                                                  uint64_t timestamp) {
   // Single committer: it is the only writer of the history, so it
-  // reads the head state without the lock and builds the new version
+  // reads the head record without the lock and builds the new version
   // outside it; readers only see the version once it is published.
-  const VersionId new_id = static_cast<VersionId>(infos_.size());
+  const VersionRecord& head = latest();
   const uint64_t fingerprint =
-      ChainFingerprint(fingerprints_.back(), changes);
+      ChainFingerprint(*dictionary_, term_hashes_, head.fingerprint, changes);
 
   if (log_ != nullptr) {
     // Write-ahead: the record must be on the log before any in-memory
     // state changes, so a failed append fails the whole commit and a
     // recovered replica can never be *ahead* of the log.
     storage::DeltaRecord record;
-    record.version_id = new_id;
+    record.version_id = head.info.id + 1;
     record.timestamp = timestamp;
     record.author = author;
     record.message = message;
@@ -143,227 +135,32 @@ Result<VersionId> VersionedKnowledgeBase::Commit(ChangeSet changes,
     logged_terms_ = dict_size;
   }
 
-  // The materialised store of the new version: every version under
-  // full materialisation; hybrid checkpoints only. A checkpoint
-  // replays from the previous checkpoint (or the base).
-  std::optional<rdf::KnowledgeBase> materialized;
-  if (policy_ == ArchivePolicy::kFullMaterialization) {
-    materialized = ApplyChanges(stores_.back(), changes);
-  } else if (policy_ == ArchivePolicy::kHybridCheckpoint &&
-             new_id % checkpoint_interval_ == 0) {
-    auto previous = MaterializeUncached(new_id - 1);
-    if (!previous.ok()) return previous.status();
-    materialized = ApplyChanges(std::move(previous).value(), changes);
-  }
-
-  VersionInfo info;
-  info.id = new_id;
-  info.author = std::move(author);
-  info.message = std::move(message);
-  info.timestamp = timestamp;
-  info.additions = changes.additions.size();
-  info.removals = changes.removals.size();
-
-  std::lock_guard<std::mutex> lock(*mu_);
-  if (policy_ == ArchivePolicy::kFullMaterialization) {
-    stores_.push_back(std::move(*materialized));
-  } else {
-    if (materialized.has_value()) {
-      checkpoints_.emplace(new_id, std::move(*materialized));
-    }
-    change_sets_.push_back(std::move(changes));
-  }
-  infos_.push_back(std::move(info));
-  fingerprints_.push_back(fingerprint);
-  return new_id;
-}
-
-size_t VersionedKnowledgeBase::version_count() const {
-  std::lock_guard<std::mutex> lock(*mu_);
-  return infos_.size();
-}
-
-VersionId VersionedKnowledgeBase::head() const {
-  std::lock_guard<std::mutex> lock(*mu_);
-  return static_cast<VersionId>(infos_.size() - 1);
-}
-
-Result<SnapshotHandle> VersionedKnowledgeBase::Handle(VersionId v) const {
-  std::lock_guard<std::mutex> lock(*mu_);
-  if (v >= infos_.size()) {
-    return NotFoundError("unknown version " + std::to_string(v));
-  }
-  SnapshotHandle handle;
-  handle.id = v;
-  handle.fingerprint = fingerprints_[v];
-  return handle;
-}
-
-Result<VersionInfo> VersionedKnowledgeBase::Info(VersionId v) const {
-  std::lock_guard<std::mutex> lock(*mu_);
-  if (v >= infos_.size()) {
-    return NotFoundError("unknown version " + std::to_string(v));
-  }
-  return infos_[v];
-}
-
-Result<ChangeSet> VersionedKnowledgeBase::Changes(VersionId v) const {
-  std::lock_guard<std::mutex> lock(*mu_);
-  if (v >= infos_.size()) {
-    return NotFoundError("unknown version " + std::to_string(v));
-  }
-  if (v == 0) {
-    return FailedPreconditionError("version 0 has no change set");
-  }
-  if (policy_ != ArchivePolicy::kFullMaterialization) {
-    return change_sets_[v];
-  }
-  // Full materialisation: derive the change set from adjacent
-  // snapshots.
-  ChangeSet cs;
-  cs.additions =
-      rdf::TripleStore::Difference(stores_[v].store(), stores_[v - 1].store());
-  cs.removals =
-      rdf::TripleStore::Difference(stores_[v - 1].store(), stores_[v].store());
-  return cs;
-}
-
-Result<rdf::KnowledgeBase> VersionedKnowledgeBase::MaterializeUncached(
-    VersionId v) const {
-  std::lock_guard<std::mutex> lock(*mu_);
-  return MaterializeLocked(v);
-}
-
-Result<rdf::KnowledgeBase> VersionedKnowledgeBase::MaterializeLocked(
-    VersionId v) const {
-  if (v >= infos_.size()) {
-    return NotFoundError("unknown version " + std::to_string(v));
-  }
-  if (policy_ == ArchivePolicy::kFullMaterialization) {
-    return stores_[v];
-  }
-  // Find the nearest materialised ancestor: a hybrid checkpoint or the
-  // base snapshot.
-  VersionId start = 0;
-  const rdf::KnowledgeBase* base = &stores_[0];
-  if (policy_ == ArchivePolicy::kHybridCheckpoint && !checkpoints_.empty()) {
-    const VersionId candidate =
-        (v / static_cast<VersionId>(checkpoint_interval_)) *
-        static_cast<VersionId>(checkpoint_interval_);
-    auto it = checkpoints_.find(candidate);
-    if (it != checkpoints_.end()) {
-      start = candidate;
-      base = &it->second;
-    }
-  }
-  // Batched replay: the copy drops the base's stale secondary
-  // indexes; the whole chain's additions and removals accumulate in
-  // the store's last-wins pending buffer and are applied by a single
-  // incremental merge at the end instead of one re-index per version.
-  rdf::KnowledgeBase kb = *base;
-  for (VersionId i = start + 1; i <= v; ++i) {
-    kb.store().AddAll(change_sets_[i].additions);
-    kb.store().RemoveAll(change_sets_[i].removals);
-  }
-  kb.store().Compact();
-  return kb;
+  // The new version's snapshot: a segment-list copy of the head, the
+  // change set buffered last-wins on top, frozen into one new segment.
+  rdf::KnowledgeBase next = *head.snapshot;
+  next.store().AddAll(changes.additions);
+  next.store().RemoveAll(changes.removals);
+  next.store().Compact();
+  return Publish(std::move(changes), std::move(author), std::move(message),
+                 timestamp, fingerprint,
+                 std::make_shared<const rdf::KnowledgeBase>(std::move(next)));
 }
 
 Result<const rdf::KnowledgeBase*> VersionedKnowledgeBase::Snapshot(
     VersionId v) const {
-  std::lock_guard<std::mutex> lock(*mu_);
-  return SnapshotLocked(v);
-}
-
-Result<std::shared_ptr<const rdf::KnowledgeBase>>
-VersionedKnowledgeBase::SharedSnapshot(VersionId v) const {
-  std::lock_guard<std::mutex> lock(*mu_);
-  auto kb = SnapshotLocked(v);
-  if (!kb.ok()) return kb.status();
-  return std::make_shared<const rdf::KnowledgeBase>(**kb);
-}
-
-Result<const rdf::KnowledgeBase*> VersionedKnowledgeBase::SnapshotLocked(
-    VersionId v) const {
-  if (v >= infos_.size()) {
-    return NotFoundError("unknown version " + std::to_string(v));
-  }
-  if (policy_ == ArchivePolicy::kFullMaterialization) {
-    return &stores_[v];
-  }
-  if (v == 0) {
-    return &stores_[0];
-  }
-  if (policy_ == ArchivePolicy::kHybridCheckpoint) {
-    auto checkpoint = checkpoints_.find(v);
-    if (checkpoint != checkpoints_.end()) {
-      return &checkpoint->second;
-    }
-  }
-  auto it = cache_.find(v);
-  if (it == cache_.end()) {
-    auto materialized = MaterializeLocked(v);
-    if (!materialized.ok()) return materialized.status();
-    it = cache_.emplace(v, std::move(materialized).value()).first;
-  }
-  return &it->second;
-}
-
-void VersionedKnowledgeBase::EvictSnapshotCache() const {
-  std::lock_guard<std::mutex> lock(*mu_);
-  cache_.clear();
+  auto pinned = Pinned(v);
+  if (!pinned.ok()) return pinned.status();
+  return pinned->get();
 }
 
 size_t VersionedKnowledgeBase::StorageBytes() const {
-  // Asks each store for its actual footprint (only the permutation
-  // indexes it has really materialised, plus pending buffers) and
-  // includes the lazily-filled snapshot cache. Gross accounting: a
-  // frozen segment shared by several versions is billed by each
-  // holder, which is how the archive-policy comparison has always
-  // been scored (full materialization pays per version even though
-  // the segmented store shares the bytes underneath).
-  std::lock_guard<std::mutex> lock(*mu_);
-  size_t bytes = 0;
-  for (const rdf::KnowledgeBase& kb : stores_) {
-    bytes += kb.store().MemoryBytes();
-  }
-  for (const auto& [v, kb] : checkpoints_) {
-    (void)v;
-    bytes += kb.store().MemoryBytes();
-  }
-  for (const auto& [v, kb] : cache_) {
-    (void)v;
-    bytes += kb.store().MemoryBytes();
-  }
-  for (const ChangeSet& cs : change_sets_) {
-    bytes += cs.size() * sizeof(rdf::Triple);
-  }
-  return bytes;
+  std::unordered_set<const void*> seen;
+  return StorageBytes(seen);
 }
 
 size_t VersionedKnowledgeBase::StorageBytes(
     std::unordered_set<const void*>& seen) const {
-  // Dedup accounting for ensembles: versions of a segmented store
-  // share frozen segments, and the shards of a ShardedKnowledgeBase
-  // share them with the pinned union snapshots — each immutable run
-  // is billed once across every store probed with the same `seen`.
-  std::lock_guard<std::mutex> lock(*mu_);
-  size_t bytes = 0;
-  for (const rdf::KnowledgeBase& kb : stores_) {
-    bytes += kb.store().MemoryBytesDedup(seen);
-  }
-  for (const auto& [v, kb] : checkpoints_) {
-    (void)v;
-    bytes += kb.store().MemoryBytesDedup(seen);
-  }
-  for (const auto& [v, kb] : cache_) {
-    (void)v;
-    bytes += kb.store().MemoryBytesDedup(seen);
-  }
-  for (const ChangeSet& cs : change_sets_) {
-    bytes += cs.size() * sizeof(rdf::Triple);
-  }
-  return bytes;
+  return HistoryBytes(seen);
 }
 
 }  // namespace evorec::version

@@ -2,18 +2,15 @@
 #define EVOREC_VERSION_VERSIONED_KB_H_
 
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "common/result.h"
 #include "rdf/knowledge_base.h"
 #include "storage/commit_log.h"
-#include "version/kb_view.h"
 #include "version/version.h"
+#include "version/version_history.h"
 
 namespace evorec::version {
 
@@ -21,31 +18,31 @@ namespace evorec::version {
 /// term dictionary so TermIds are stable across versions — the
 /// invariant every evolution measure depends on.
 ///
-/// Storage follows the configured ArchivePolicy; snapshots are
-/// materialised lazily and cached.
+/// Every version is one VersionRecord (version/version_history.h): its
+/// commit metadata, chained fingerprint, committed change set and a
+/// pinned segment-sharing snapshot. A commit copies the head snapshot
+/// (a segment-list copy), applies the change set and freezes it, so
+/// consecutive versions share every frozen segment they have in common
+/// and any version is readable in O(1).
 ///
-/// Thread safety follows the KbView contract: every reader below
-/// (the KbView members, Info, Snapshot, MaterializeUncached,
-/// EvictSnapshotCache, StorageBytes) takes the KB's internal lock, so
+/// Thread safety follows the KbView contract: every reader (the KbView
+/// members, Info, Snapshot, StorageBytes) takes the history's lock, so
 /// any number of readers may run alongside one committer. Commits are
-/// serialised by the caller; Commit prepares the new version outside
-/// the lock and publishes it under the lock. Concurrent readers should
-/// use SharedSnapshot: the pointer Snapshot returns is shared with
-/// every other caller, and first-use index builds on it are not
+/// serialised by the caller; Commit builds the new version outside the
+/// lock and publishes it under the lock. Concurrent readers should use
+/// SharedSnapshot: the snapshot Snapshot returns is shared with every
+/// other caller, and first-use index builds on it are not
 /// synchronised. Interning into dictionary() and attaching a commit log
 /// belong to the committer thread.
-class VersionedKnowledgeBase final : public KbView {
+class VersionedKnowledgeBase final : public VersionHistory {
  public:
-  /// Creates a KB whose version 0 is empty. `checkpoint_interval`
-  /// applies to kHybridCheckpoint only (a full snapshot every that
-  /// many versions; must be >= 1).
+  /// Creates a KB whose version 0 is `initial` (empty by default).
   explicit VersionedKnowledgeBase(
-      ArchivePolicy policy = ArchivePolicy::kFullMaterialization,
-      size_t checkpoint_interval = 4);
+      rdf::KnowledgeBase initial = rdf::KnowledgeBase());
 
-  /// Creates a KB whose version 0 is `initial`.
-  VersionedKnowledgeBase(ArchivePolicy policy, rdf::KnowledgeBase initial,
-                         size_t checkpoint_interval = 4);
+  /// Same as above; ArchivePolicy has a single value, which names the
+  /// one representation described on the class.
+  VersionedKnowledgeBase(ArchivePolicy policy, rdf::KnowledgeBase initial);
 
   /// Creates a KB whose version 0 is `base` with a caller-supplied
   /// content fingerprint instead of a freshly computed one. This is
@@ -55,8 +52,7 @@ class VersionedKnowledgeBase final : public KbView {
   /// and therefore every engine cache key — identical across a
   /// restart. See version/recovery.h.
   static VersionedKnowledgeBase WithBaseFingerprint(
-      ArchivePolicy policy, rdf::KnowledgeBase base,
-      uint64_t base_fingerprint, size_t checkpoint_interval = 4);
+      rdf::KnowledgeBase base, uint64_t base_fingerprint);
 
   VersionedKnowledgeBase(const VersionedKnowledgeBase&) = delete;
   VersionedKnowledgeBase& operator=(const VersionedKnowledgeBase&) = delete;
@@ -90,47 +86,14 @@ class VersionedKnowledgeBase final : public KbView {
 
   storage::CommitLog* commit_log() const { return log_; }
 
-  /// Number of versions (head id + 1).
-  size_t version_count() const override;
-
-  /// Id of the latest version.
-  VersionId head() const override;
-
-  /// Commit metadata for `v`.
-  Result<VersionInfo> Info(VersionId v) const;
-
-  /// The change set that produced `v` from `v-1`. Version 0 has no
-  /// change set.
-  Result<ChangeSet> Changes(VersionId v) const override;
-
-  /// Materialised snapshot of version `v` (cached; the pointer stays
-  /// valid until EvictSnapshotCache, the next commit under
-  /// kFullMaterialization, or destruction).
+  /// The pinned snapshot of version `v`. The pointer stays valid for
+  /// the KB's lifetime; it is shared with every other caller, so
+  /// concurrent readers should take SharedSnapshot instead.
   Result<const rdf::KnowledgeBase*> Snapshot(VersionId v) const;
 
-  /// A private segment-sharing copy of Snapshot(v): O(#segments), not
-  /// O(triples), and detached from the snapshot cache, so the caller
-  /// may hold it across commits and EvictSnapshotCache.
-  Result<std::shared_ptr<const rdf::KnowledgeBase>> SharedSnapshot(
-      VersionId v) const override;
-
-  /// Cheap handle to version `v` for cache keys — O(1), never
-  /// materialises the snapshot (fingerprints are maintained
-  /// incrementally at commit time).
-  Result<SnapshotHandle> Handle(VersionId v) const override;
-
-  /// Reconstructs `v` without touching the cache — used by benches to
-  /// measure reconstruction cost under kDeltaChain.
-  Result<rdf::KnowledgeBase> MaterializeUncached(VersionId v) const;
-
-  /// Drops cached snapshots (keeps version 0 and, under full
-  /// materialisation, all stored versions).
-  void EvictSnapshotCache() const;
-
-  /// Approximate resident bytes of version storage: base/materialised
-  /// stores and checkpoints (counting only the permutation indexes
-  /// each store has actually built), the snapshot cache, and archived
-  /// change sets.
+  /// Resident bytes of version storage: every pinned snapshot (counting
+  /// only the permutation indexes each store has actually built) and
+  /// archived change set, billing each shared frozen segment once.
   size_t StorageBytes() const;
 
   /// Same accounting with a caller-owned dedup set, so callers holding
@@ -139,8 +102,6 @@ class VersionedKnowledgeBase final : public KbView {
   /// immutable run once across the whole ensemble.
   size_t StorageBytes(std::unordered_set<const void*>& seen) const;
 
-  ArchivePolicy policy() const { return policy_; }
-
   const std::shared_ptr<rdf::Dictionary>& shared_dictionary() const {
     return dictionary_;
   }
@@ -148,46 +109,22 @@ class VersionedKnowledgeBase final : public KbView {
   const rdf::Vocabulary& vocabulary() const { return vocabulary_; }
 
  private:
-  /// Shared delegate of the public constructors and the recovery
-  /// factory: seeds the fingerprint chain with `base_fingerprint`
-  /// when provided, otherwise hashes the base content.
-  VersionedKnowledgeBase(ArchivePolicy policy, rdf::KnowledgeBase initial,
-                         size_t checkpoint_interval,
-                         std::optional<uint64_t> base_fingerprint);
+  /// Version 0 and its fingerprint, computed before the history that
+  /// pins it is constructed.
+  struct Base {
+    rdf::KnowledgeBase kb;
+    uint64_t fingerprint = 0;
+    std::vector<uint64_t> term_hashes;
+  };
 
-  /// Snapshot / MaterializeUncached with `mu_` already held.
-  Result<const rdf::KnowledgeBase*> SnapshotLocked(VersionId v) const;
-  Result<rdf::KnowledgeBase> MaterializeLocked(VersionId v) const;
+  /// Fingerprints `kb` by content: the hash of its canonical
+  /// (SPO-ordered) triples, so equal base snapshots fingerprint equally.
+  static Base HashBase(rdf::KnowledgeBase kb);
 
-  /// Content hash of one term (memoized per TermId; terms are
-  /// immutable once interned).
-  uint64_t TermContentHash(rdf::TermId id);
-  /// Folds `triples` into `seed`, hashing term content.
-  uint64_t HashTriples(uint64_t seed, const std::vector<rdf::Triple>& triples);
-  /// Content hash of one change set chained onto `parent`.
-  uint64_t ChainFingerprint(uint64_t parent, const ChangeSet& changes);
+  explicit VersionedKnowledgeBase(Base base);
 
-  ArchivePolicy policy_;
-  size_t checkpoint_interval_;
   std::shared_ptr<rdf::Dictionary> dictionary_;
   rdf::Vocabulary vocabulary_;
-  // Guards the version history below (infos_ through cache_). Held by
-  // pointer so the KB stays movable. The committer reads the history
-  // without it (it is the only writer) and takes it to publish.
-  std::unique_ptr<std::mutex> mu_ = std::make_unique<std::mutex>();
-  std::vector<VersionInfo> infos_;
-  // fingerprints_[v] chains the base-content hash with every change
-  // set up to v (see SnapshotHandle).
-  std::vector<uint64_t> fingerprints_;
-  // kFullMaterialization: stores_[v] is version v.
-  // kDeltaChain / kHybridCheckpoint: stores_[0] is the base; later
-  // versions live in change_sets_ (and, for hybrid, checkpoints_).
-  std::vector<rdf::KnowledgeBase> stores_;
-  std::vector<ChangeSet> change_sets_;  // change_sets_[v] produced v; [0] empty
-  // kHybridCheckpoint: full snapshots at versions that are multiples
-  // of checkpoint_interval_.
-  std::unordered_map<VersionId, rdf::KnowledgeBase> checkpoints_;
-  mutable std::unordered_map<VersionId, rdf::KnowledgeBase> cache_;
   // Committer-only state, outside the lock. Memoized per-term content
   // hashes (0 = not yet computed).
   std::vector<uint64_t> term_hashes_;

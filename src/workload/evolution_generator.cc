@@ -102,14 +102,17 @@ EvolutionOutcome GenerateEvolution(const rdf::KnowledgeBase& current,
     instances[cls] = view.InstancesOf(cls);
     for (rdf::TermId inst : instances[cls]) type_of[inst] = cls;
   }
+  // A merged scan, not triples(): on a segmented snapshot triples()
+  // would leave a flat copy behind on the caller's version.
   std::vector<InstanceEdge> edges;
-  for (const rdf::Triple& t : current.store().triples()) {
-    if (voc.IsSchemaPredicate(t.predicate)) continue;
+  current.store().ScanT(rdf::TriplePattern{}, [&](const rdf::Triple& t) {
+    if (voc.IsSchemaPredicate(t.predicate)) return true;
     auto s = type_of.find(t.subject);
     auto o = type_of.find(t.object);
-    if (s == type_of.end() || o == type_of.end()) continue;
+    if (s == type_of.end() || o == type_of.end()) return true;
     edges.push_back({t, s->second, o->second});
-  }
+    return true;
+  });
 
   // Plant hot classes, preferring classes that actually have data.
   std::vector<rdf::TermId> with_instances;

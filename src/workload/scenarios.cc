@@ -36,7 +36,7 @@ Scenario Assemble(const std::string& name, uint64_t seed,
   scenario.classes = generated.classes;
   scenario.properties = generated.properties;
   scenario.vkb = std::make_unique<version::VersionedKnowledgeBase>(
-      version::ArchivePolicy::kFullMaterialization, std::move(generated.kb));
+      std::move(generated.kb));
 
   for (size_t v = 0; v < scale.versions; ++v) {
     auto head = scenario.vkb->Snapshot(scenario.vkb->head());

@@ -61,8 +61,7 @@ struct WorkloadTrace {
 /// one).
 WorkloadTrace RunWorkload(FaultInjectionEnv* env) {
   WorkloadTrace trace;
-  version::VersionedKnowledgeBase vkb(version::ArchivePolicy::kDeltaChain,
-                                      MakeBase(kSeed));
+  version::VersionedKnowledgeBase vkb(MakeBase(kSeed));
   auto handle = vkb.Handle(0);
   if (!handle.ok()) return trace;
   trace.fingerprints.push_back(handle->fingerprint);
@@ -116,7 +115,6 @@ WorkloadTrace RunWorkload(FaultInjectionEnv* env) {
 
 Result<version::RecoveredKb> Recover(FaultInjectionEnv* env) {
   version::RecoveryOptions options;
-  options.policy = version::ArchivePolicy::kDeltaChain;
   options.env = env;
   return version::RecoverFromCheckpoints(kCheckpointDir, kLogPath, options);
 }
@@ -244,8 +242,7 @@ TEST(CrashRecoveryTortureTest, LyingFsyncForfeitsTheAcknowledgedCommit) {
   // contract: the commit acked over the lying sync is lost, but the
   // recovered history is still a clean, consistent prefix.
   FaultInjectionEnv env(kSeed);
-  version::VersionedKnowledgeBase vkb(version::ArchivePolicy::kDeltaChain,
-                                      MakeBase(kSeed));
+  version::VersionedKnowledgeBase vkb(MakeBase(kSeed));
   storage::SnapshotOptions snap_options;
   snap_options.sync = true;
   snap_options.env = &env;

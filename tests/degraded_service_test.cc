@@ -65,7 +65,7 @@ profile::HumanProfile MakeUser(const rdf::KnowledgeBase& kb,
 }
 
 struct DegradedFixture {
-  DegradedFixture() : vkb(version::ArchivePolicy::kDeltaChain, MakeBase(kSeed)) {
+  DegradedFixture() : vkb(MakeBase(kSeed)) {
     storage::LogOptions log_options;
     log_options.sync_on_append = true;
     log_options.retry.max_attempts = 2;

@@ -14,9 +14,7 @@ struct HistoryFixture {
   VersionedKnowledgeBase vkb;
   Triple t{1, 2, 3};
 
-  explicit HistoryFixture(
-      ArchivePolicy policy = ArchivePolicy::kFullMaterialization)
-      : vkb(policy) {
+  HistoryFixture() {
     ChangeSet add;
     add.additions = {t};
     ChangeSet remove;
@@ -30,25 +28,13 @@ struct HistoryFixture {
 
 class HistoryQueryTest : public ::testing::TestWithParam<ArchivePolicy> {};
 
-INSTANTIATE_TEST_SUITE_P(
-    AllPolicies, HistoryQueryTest,
-    ::testing::Values(ArchivePolicy::kFullMaterialization,
-                      ArchivePolicy::kDeltaChain,
-                      ArchivePolicy::kHybridCheckpoint),
-    [](const auto& param_info) {
-      switch (param_info.param) {
-        case ArchivePolicy::kFullMaterialization:
-          return "Full";
-        case ArchivePolicy::kDeltaChain:
-          return "DeltaChain";
-        case ArchivePolicy::kHybridCheckpoint:
-          return "Hybrid";
-      }
-      return "Unknown";
-    });
+// ArchivePolicy has one value; the suite keeps its instantiation name.
+INSTANTIATE_TEST_SUITE_P(AllPolicies, HistoryQueryTest,
+                         ::testing::Values(ArchivePolicy::kFullMaterialization),
+                         [](const auto&) { return "Full"; });
 
 TEST_P(HistoryQueryTest, FirstAddedAndRemoved) {
-  HistoryFixture f(GetParam());
+  HistoryFixture f;
   HistoryQuery query(f.vkb);
   auto added = query.FirstAdded(f.t);
   ASSERT_TRUE(added.ok());
@@ -70,7 +56,7 @@ TEST_P(HistoryQueryTest, FirstAddedAndRemoved) {
 }
 
 TEST_P(HistoryQueryTest, LiveRangesTrackRetractionAndReassertion) {
-  HistoryFixture f(GetParam());
+  HistoryFixture f;
   HistoryQuery query(f.vkb);
   auto ranges = query.LiveRanges(f.t);
   ASSERT_TRUE(ranges.ok());
@@ -84,7 +70,7 @@ TEST_P(HistoryQueryTest, LiveRangesTrackRetractionAndReassertion) {
 }
 
 TEST_P(HistoryQueryTest, AsOfQueriesSnapshots) {
-  HistoryFixture f(GetParam());
+  HistoryFixture f;
   HistoryQuery query(f.vkb);
   auto at_v0 = query.AsOf(0, {rdf::kAnyTerm, rdf::kAnyTerm, rdf::kAnyTerm});
   ASSERT_TRUE(at_v0.ok());
@@ -96,7 +82,7 @@ TEST_P(HistoryQueryTest, AsOfQueriesSnapshots) {
 }
 
 TEST_P(HistoryQueryTest, VersionsMatching) {
-  HistoryFixture f(GetParam());
+  HistoryFixture f;
   HistoryQuery query(f.vkb);
   auto versions =
       query.VersionsMatching({1, rdf::kAnyTerm, rdf::kAnyTerm});
@@ -105,7 +91,7 @@ TEST_P(HistoryQueryTest, VersionsMatching) {
 }
 
 TEST_P(HistoryQueryTest, SubjectFootprintHistory) {
-  HistoryFixture f(GetParam());
+  HistoryFixture f;
   // Add a second triple for subject 1 at v4 only.
   // (Extend the fixture history: v5 adds {1,7,8}.)
   ChangeSet extra;

@@ -50,9 +50,7 @@ TEST(IncrementalStressTest, CommitterAndServersShareOneEngine) {
   // dictionary here, before any thread starts.
   auto head_snapshot = vkb.Snapshot(vkb.head());
   ASSERT_TRUE(head_snapshot.ok());
-  version::VersionedKnowledgeBase scratch(
-      version::ArchivePolicy::kFullMaterialization,
-      rdf::KnowledgeBase(**head_snapshot));
+  version::VersionedKnowledgeBase scratch(**head_snapshot);
   ASSERT_EQ(scratch.shared_dictionary().get(), vkb.shared_dictionary().get());
   std::vector<version::ChangeSet> stream;
   stream.reserve(kCommits);

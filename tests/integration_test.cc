@@ -74,8 +74,9 @@ TEST(IntegrationTest, HotClassesSurfaceInChangeCountRanking) {
 }
 
 TEST(IntegrationTest, DeltaChainPolicyIsDropInReplacement) {
-  // Build the same history under both archive policies; measures agree
-  // exactly.
+  // A replica rebuilt from the base and the archived change set (the
+  // delta-chain reconstruction of the history) serves the same
+  // fingerprints and measures exactly.
   workload::SchemaGenOptions schema_options;
   schema_options.class_count = 30;
   workload::GeneratedSchema generated =
@@ -85,17 +86,18 @@ TEST(IntegrationTest, DeltaChainPolicyIsDropInReplacement) {
   instance_options.edge_count = 300;
   workload::PopulateInstances(generated, instance_options);
 
-  version::VersionedKnowledgeBase full(
-      version::ArchivePolicy::kFullMaterialization, generated.kb);
-  version::VersionedKnowledgeBase chain(version::ArchivePolicy::kDeltaChain,
-                                        generated.kb);
+  version::VersionedKnowledgeBase full(generated.kb);
 
   workload::EvolutionOptions evolution_options;
   evolution_options.operations = 120;
   const workload::EvolutionOutcome outcome = workload::GenerateEvolution(
       generated.kb, generated.kb.dictionary(), evolution_options);
   (void)full.Commit(outcome.changes, "t", "v1");
-  (void)chain.Commit(outcome.changes, "t", "v1");
+  version::VersionedKnowledgeBase chain(**full.Snapshot(0));
+  auto archived = full.Changes(1);
+  ASSERT_TRUE(archived.ok());
+  (void)chain.Commit(std::move(archived).value(), "t", "v1");
+  EXPECT_EQ(chain.Handle(1)->fingerprint, full.Handle(1)->fingerprint);
 
   auto ctx_full = measures::EvolutionContext::FromVersions(full, 0, 1);
   auto ctx_chain = measures::EvolutionContext::FromVersions(chain, 0, 1);

@@ -1,12 +1,11 @@
 // The KbView contract, checked over every KB the engine serves: a
-// VersionedKnowledgeBase under full materialisation and under a delta
-// chain, and a ShardedKnowledgeBase with 1 and 4 shards. Every
-// implementation must report unknown versions as NotFound, refuse a
-// change set for version 0, and hand out snapshots that stay pinned to
-// their version across later commits and snapshot-cache eviction.
-// KbViewConcurrencyTest then serves one delta-chain KB through two
-// services while one of them commits, and builds contexts over a
-// full-materialisation KB while it commits: the KB's own lock is the
+// VersionedKnowledgeBase, and a ShardedKnowledgeBase with 1 and 4
+// shards. Every implementation must report unknown versions as
+// NotFound, refuse a change set for version 0, and hand out snapshots
+// that stay pinned to their version across later commits.
+// KbViewConcurrencyTest then serves one VersionedKnowledgeBase through
+// two services while one of them commits, and builds contexts over a
+// VersionedKnowledgeBase while it commits: the KB's own lock is the
 // only synchronisation between them (run it under TSan).
 
 #include "version/kb_view.h"
@@ -14,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -33,38 +31,16 @@ namespace {
 
 using rdf::Triple;
 
-enum class KbKind { kFullMaterialization, kDeltaChain, kOneShard, kFourShards };
+// Explicit values keep each instance's printed parameter unchanged
+// since the delta-chain kind (1) was dropped.
+enum class KbKind { kFullMaterialization = 0, kOneShard = 2, kFourShards = 3 };
 
-// One KB under test plus the hook that drops its snapshot caches.
-struct KbUnderTest {
-  std::unique_ptr<KbView> kb;
-  std::function<void()> evict;
-};
-
-KbUnderTest MakeKb(KbKind kind) {
-  KbUnderTest out;
-  if (kind == KbKind::kFullMaterialization || kind == KbKind::kDeltaChain) {
-    auto vkb = std::make_unique<VersionedKnowledgeBase>(
-        kind == KbKind::kDeltaChain ? ArchivePolicy::kDeltaChain
-                                    : ArchivePolicy::kFullMaterialization);
-    const VersionedKnowledgeBase* raw = vkb.get();
-    out.evict = [raw] { raw->EvictSnapshotCache(); };
-    out.kb = std::move(vkb);
-    return out;
+std::unique_ptr<KbView> MakeKb(KbKind kind) {
+  if (kind == KbKind::kFullMaterialization) {
+    return std::make_unique<VersionedKnowledgeBase>();
   }
-  // Delta-chain shards, so eviction really drops materialised state.
-  auto sharded = std::make_unique<ShardedKnowledgeBase>(
-      ShardedKnowledgeBase::Options{
-          .shards = kind == KbKind::kOneShard ? size_t{1} : size_t{4},
-          .policy = ArchivePolicy::kDeltaChain});
-  const ShardedKnowledgeBase* raw = sharded.get();
-  out.evict = [raw] {
-    for (size_t i = 0; i < raw->shard_count(); ++i) {
-      raw->shard(i).EvictSnapshotCache();
-    }
-  };
-  out.kb = std::move(sharded);
-  return out;
+  return std::make_unique<ShardedKnowledgeBase>(ShardedKnowledgeBase::Options{
+      .shards = kind == KbKind::kOneShard ? size_t{1} : size_t{4}});
 }
 
 // A deterministic history over a small term universe, so commits
@@ -115,14 +91,12 @@ class KbViewContractTest : public ::testing::TestWithParam<KbKind> {};
 
 INSTANTIATE_TEST_SUITE_P(
     AllKbs, KbViewContractTest,
-    ::testing::Values(KbKind::kFullMaterialization, KbKind::kDeltaChain,
-                      KbKind::kOneShard, KbKind::kFourShards),
+    ::testing::Values(KbKind::kFullMaterialization, KbKind::kOneShard,
+                      KbKind::kFourShards),
     [](const ::testing::TestParamInfo<KbKind>& param) {
       switch (param.param) {
         case KbKind::kFullMaterialization:
           return std::string("VkbFullMaterialization");
-        case KbKind::kDeltaChain:
-          return std::string("VkbDeltaChain");
         case KbKind::kOneShard:
           return std::string("ShardedOne");
         case KbKind::kFourShards:
@@ -132,68 +106,67 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST_P(KbViewContractTest, UnknownVersionsAreNotFound) {
-  KbUnderTest t = MakeKb(GetParam());
+  const std::unique_ptr<KbView> kb = MakeKb(GetParam());
   for (const ChangeSet& cs : RandomHistory(3, 3)) {
-    ASSERT_NO_FATAL_FAILURE(Commit(*t.kb, cs));
+    ASSERT_NO_FATAL_FAILURE(Commit(*kb, cs));
   }
-  ASSERT_EQ(t.kb->version_count(), 4u);
-  ASSERT_EQ(t.kb->head(), 3u);
+  ASSERT_EQ(kb->version_count(), 4u);
+  ASSERT_EQ(kb->head(), 3u);
   for (VersionId v : {VersionId{4}, VersionId{100}}) {
-    EXPECT_EQ(t.kb->Handle(v).status().code(), StatusCode::kNotFound) << v;
-    EXPECT_EQ(t.kb->SharedSnapshot(v).status().code(), StatusCode::kNotFound)
+    EXPECT_EQ(kb->Handle(v).status().code(), StatusCode::kNotFound) << v;
+    EXPECT_EQ(kb->SharedSnapshot(v).status().code(), StatusCode::kNotFound)
         << v;
-    EXPECT_EQ(t.kb->Changes(v).status().code(), StatusCode::kNotFound) << v;
+    EXPECT_EQ(kb->Changes(v).status().code(), StatusCode::kNotFound) << v;
   }
   for (VersionId v = 0; v <= 3; ++v) {
-    EXPECT_TRUE(t.kb->Handle(v).ok()) << v;
-    EXPECT_TRUE(t.kb->SharedSnapshot(v).ok()) << v;
+    EXPECT_TRUE(kb->Handle(v).ok()) << v;
+    EXPECT_TRUE(kb->SharedSnapshot(v).ok()) << v;
   }
 }
 
 TEST_P(KbViewContractTest, VersionZeroHasNoChangeSet) {
-  KbUnderTest t = MakeKb(GetParam());
-  EXPECT_EQ(t.kb->Changes(0).status().code(),
+  const std::unique_ptr<KbView> kb = MakeKb(GetParam());
+  EXPECT_EQ(kb->Changes(0).status().code(),
             StatusCode::kFailedPrecondition);
-  ASSERT_NO_FATAL_FAILURE(Commit(*t.kb, RandomHistory(5, 1)[0]));
-  EXPECT_EQ(t.kb->Changes(0).status().code(),
+  ASSERT_NO_FATAL_FAILURE(Commit(*kb, RandomHistory(5, 1)[0]));
+  EXPECT_EQ(kb->Changes(0).status().code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_TRUE(t.kb->Changes(1).ok());
+  EXPECT_TRUE(kb->Changes(1).ok());
 }
 
+// No KB keeps a snapshot cache to evict any more; the name is kept.
 TEST_P(KbViewContractTest, PinnedSnapshotsSurviveCommitsAndEviction) {
-  KbUnderTest t = MakeKb(GetParam());
+  const std::unique_ptr<KbView> kb = MakeKb(GetParam());
   const std::vector<ChangeSet> history = RandomHistory(11, 8);
   const std::vector<std::vector<Triple>> expected = ExpectedContents(history);
 
   for (size_t i = 0; i < 3; ++i) {
-    ASSERT_NO_FATAL_FAILURE(Commit(*t.kb, history[i]));
+    ASSERT_NO_FATAL_FAILURE(Commit(*kb, history[i]));
   }
   std::vector<std::shared_ptr<const rdf::KnowledgeBase>> pinned;
   for (VersionId v = 0; v <= 3; ++v) {
-    auto snapshot = t.kb->SharedSnapshot(v);
+    auto snapshot = kb->SharedSnapshot(v);
     ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
     pinned.push_back(std::move(snapshot).value());
   }
-  t.evict();
   for (size_t i = 3; i < history.size(); ++i) {
-    ASSERT_NO_FATAL_FAILURE(Commit(*t.kb, history[i]));
-    t.evict();
+    ASSERT_NO_FATAL_FAILURE(Commit(*kb, history[i]));
   }
 
   for (VersionId v = 0; v < pinned.size(); ++v) {
     EXPECT_EQ(Content(*pinned[v]), expected[v]) << "pinned version " << v;
   }
-  for (VersionId v = 0; v <= t.kb->head(); ++v) {
-    auto snapshot = t.kb->SharedSnapshot(v);
+  for (VersionId v = 0; v <= kb->head(); ++v) {
+    auto snapshot = kb->SharedSnapshot(v);
     ASSERT_TRUE(snapshot.ok());
     EXPECT_EQ(Content(**snapshot), expected[v]) << "version " << v;
   }
 }
 
 // Two services — two engines with independent caches — serve one
-// delta-chain VersionedKnowledgeBase while one of them commits. Every
-// snapshot pin of both engines and the commits meet only at the KB's
-// own lock.
+// VersionedKnowledgeBase while one of them commits. Every snapshot pin
+// of both engines and the commits meet only at the KB's own lock. (The
+// name is kept from when this KB replayed a delta chain on each pin.)
 TEST(KbViewConcurrencyTest, TwoServicesShareOneDeltaChainKbDuringCommits) {
   workload::ScenarioScale scale;
   scale.classes = 24;
@@ -205,7 +178,7 @@ TEST(KbViewConcurrencyTest, TwoServicesShareOneDeltaChainKbDuringCommits) {
   workload::Scenario scenario = workload::MakeDbpediaLike(29, scale);
   auto base = scenario.vkb->Snapshot(0);
   ASSERT_TRUE(base.ok());
-  VersionedKnowledgeBase kb(ArchivePolicy::kDeltaChain, **base);
+  VersionedKnowledgeBase kb(**base);
   std::vector<ChangeSet> pending;
   for (VersionId v = 1; v <= scenario.vkb->head(); ++v) {
     auto changes = scenario.vkb->Changes(v);
@@ -277,9 +250,8 @@ TEST(KbViewConcurrencyTest, TwoServicesShareOneDeltaChainKbDuringCommits) {
 }
 
 // EvolutionContext::FromVersions beside a committer on one
-// full-materialisation KB. Each commit appends a store there, which can
-// move every earlier one, so a context must be built from pinned
-// snapshots rather than from pointers into the KB held past its lock.
+// VersionedKnowledgeBase: a context is built from pinned snapshots
+// while later versions are published under it.
 TEST(KbViewConcurrencyTest, FromVersionsBesideACommitterOnFullMaterialization) {
   workload::ScenarioScale scale;
   scale.classes = 16;
@@ -291,7 +263,7 @@ TEST(KbViewConcurrencyTest, FromVersionsBesideACommitterOnFullMaterialization) {
   workload::Scenario scenario = workload::MakeDbpediaLike(41, scale);
   auto base = scenario.vkb->Snapshot(0);
   ASSERT_TRUE(base.ok());
-  VersionedKnowledgeBase kb(ArchivePolicy::kFullMaterialization, **base);
+  VersionedKnowledgeBase kb(**base);
   std::vector<size_t> sizes;
   for (VersionId v = 0; v <= scenario.vkb->head(); ++v) {
     auto snapshot = scenario.vkb->Snapshot(v);

@@ -384,7 +384,7 @@ profile::HumanProfile MakeUser(const rdf::KnowledgeBase& kb,
 
 struct OverloadFixture {
   OverloadFixture()
-      : vkb(version::ArchivePolicy::kDeltaChain, MakeBase(kSeed)) {
+      : vkb(MakeBase(kSeed)) {
     storage::LogOptions log_options;
     log_options.sync_on_append = true;
     log_options.retry.max_attempts = 2;

@@ -125,8 +125,7 @@ TEST_P(PersistencePropertyTest, MidHistorySnapshotPlusTailReplay) {
       TempPath("mid_" + std::to_string(seed) + ".evlog");
   std::remove(log_path.c_str());
 
-  version::VersionedKnowledgeBase original(
-      version::ArchivePolicy::kDeltaChain, MakeBase(seed));
+  version::VersionedKnowledgeBase original(MakeBase(seed));
   auto log = storage::CommitLog::Open(log_path);
   ASSERT_TRUE(log.ok());
   original.AttachCommitLog(&*log);
@@ -165,7 +164,7 @@ TEST_P(PersistencePropertyTest, MidHistorySnapshotPlusTailReplay) {
 }
 
 // Base snapshot + full log replay reproduces the complete fingerprint
-// chain, under both recovered archive policies.
+// chain.
 TEST_P(PersistencePropertyTest, FullLogReplayRestoresEveryFingerprint) {
   const uint64_t seed = GetParam();
   const std::string snapshot_path =
@@ -174,8 +173,7 @@ TEST_P(PersistencePropertyTest, FullLogReplayRestoresEveryFingerprint) {
       TempPath("full_" + std::to_string(seed) + ".evlog");
   std::remove(log_path.c_str());
 
-  version::VersionedKnowledgeBase original(
-      version::ArchivePolicy::kFullMaterialization, MakeBase(seed));
+  version::VersionedKnowledgeBase original(MakeBase(seed));
   ASSERT_TRUE(
       version::SaveVersionSnapshot(original, 0, snapshot_path).ok());
   auto log = storage::CommitLog::Open(log_path);
@@ -184,19 +182,12 @@ TEST_P(PersistencePropertyTest, FullLogReplayRestoresEveryFingerprint) {
   CommitHistory(original, seed, 5);
   ASSERT_TRUE(log->Sync().ok());
 
-  for (version::ArchivePolicy policy :
-       {version::ArchivePolicy::kDeltaChain,
-        version::ArchivePolicy::kHybridCheckpoint}) {
-    version::RecoveryOptions options;
-    options.policy = policy;
-    auto recovered =
-        version::RecoverFromDisk(snapshot_path, log_path, options);
-    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-    EXPECT_EQ(recovered->base_version, 0u);
-    ASSERT_EQ(recovered->vkb->version_count(), original.version_count());
-    for (version::VersionId v = 0; v <= original.head(); ++v) {
-      ExpectVersionsIdentical(original, v, *recovered->vkb, v);
-    }
+  auto recovered = version::RecoverFromDisk(snapshot_path, log_path);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->base_version, 0u);
+  ASSERT_EQ(recovered->vkb->version_count(), original.version_count());
+  for (version::VersionId v = 0; v <= original.head(); ++v) {
+    ExpectVersionsIdentical(original, v, *recovered->vkb, v);
   }
   std::remove(snapshot_path.c_str());
   std::remove(log_path.c_str());
@@ -212,8 +203,7 @@ TEST_P(PersistencePropertyTest, TornTailRecoversPrefix) {
       TempPath("torn_" + std::to_string(seed) + ".evlog");
   std::remove(log_path.c_str());
 
-  version::VersionedKnowledgeBase original(
-      version::ArchivePolicy::kDeltaChain, MakeBase(seed));
+  version::VersionedKnowledgeBase original(MakeBase(seed));
   ASSERT_TRUE(
       version::SaveVersionSnapshot(original, 0, snapshot_path).ok());
   auto log = storage::CommitLog::Open(log_path);
@@ -257,13 +247,11 @@ TEST(PersistenceMismatchTest, ForeignLogIsRejected) {
   const std::string log_path = TempPath("mismatch.evlog");
   std::remove(log_path.c_str());
 
-  version::VersionedKnowledgeBase history_a(
-      version::ArchivePolicy::kDeltaChain, MakeBase(71));
+  version::VersionedKnowledgeBase history_a(MakeBase(71));
   ASSERT_TRUE(
       version::SaveVersionSnapshot(history_a, 0, snapshot_path).ok());
 
-  version::VersionedKnowledgeBase history_b(
-      version::ArchivePolicy::kDeltaChain, MakeBase(72));
+  version::VersionedKnowledgeBase history_b(MakeBase(72));
   auto log = storage::CommitLog::Open(log_path);
   ASSERT_TRUE(log.ok());
   history_b.AttachCommitLog(&*log);
@@ -285,8 +273,7 @@ TEST(PersistenceEngineTest, RecoveredKbHitsTheWarmEngineCache) {
   const std::string log_path = TempPath("engine.evlog");
   std::remove(log_path.c_str());
 
-  version::VersionedKnowledgeBase original(
-      version::ArchivePolicy::kDeltaChain, MakeBase(5));
+  version::VersionedKnowledgeBase original(MakeBase(5));
   ASSERT_TRUE(
       version::SaveVersionSnapshot(original, 0, snapshot_path).ok());
   auto log = storage::CommitLog::Open(log_path);

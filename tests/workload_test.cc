@@ -214,6 +214,23 @@ TEST(ScenarioTest, PresetsProduceCommittedHistory) {
   }
 }
 
+// Generating a transition reads the head version with merged scans, so
+// no stored version is left holding a whole-store flat copy.
+TEST(ScenarioTest, StoredVersionsHoldNoFlatCopy) {
+  ScenarioScale scale;
+  scale.classes = 30;
+  scale.instances = 200;
+  scale.edges = 300;
+  scale.versions = 4;
+  scale.operations = 80;
+  const Scenario scenario = MakeDbpediaLike(7, scale);
+  for (version::VersionId v = 0; v <= scenario.vkb->head(); ++v) {
+    auto snapshot = scenario.vkb->Snapshot(v);
+    ASSERT_TRUE(snapshot.ok());
+    EXPECT_EQ((*snapshot)->store().stats().materializations, 0u) << v;
+  }
+}
+
 TEST(ScenarioTest, ClinicalKbHasEnforceablePolicy) {
   ScenarioScale scale;
   scale.classes = 30;
