@@ -67,24 +67,34 @@ version::VersionedKnowledgeBase Regenerate(const PersistenceScale& scale,
   return vkb;
 }
 
-// Persists `vkb` as the everyday recovery pair: a snapshot two
+// Persists `vkb` as the everyday recovery pair: a checkpoint two
 // versions behind the head plus the full commit log, so recovery
 // exercises both the bulk snapshot load and the log tail replay.
 struct DurablePair {
-  std::string snapshot_path;
+  std::string checkpoint_dir;
   std::string log_path;
 };
 
+// Deletes the pair's files, checkpoint directory included.
+void RemovePair(const DurablePair& pair) {
+  auto checkpoints = version::ListCheckpoints(pair.checkpoint_dir);
+  if (checkpoints.ok()) {
+    for (const std::string& path : *checkpoints) std::remove(path.c_str());
+  }
+  std::remove(pair.checkpoint_dir.c_str());
+  std::remove(pair.log_path.c_str());
+}
+
 DurablePair Persist(const PersistenceScale& scale, uint64_t seed,
                     const std::string& tag) {
-  DurablePair pair{TempPath(tag + ".evsnap"), TempPath(tag + ".evlog")};
-  std::remove(pair.log_path.c_str());
+  DurablePair pair{TempPath(tag + ".ckpt"), TempPath(tag + ".evlog")};
+  RemovePair(pair);  // a stale newer checkpoint would be recovered instead
   auto log = storage::CommitLog::Open(pair.log_path);
   if (!log.ok()) return pair;
   version::VersionedKnowledgeBase vkb = Regenerate(scale, seed, &*log);
   const version::VersionId snap_at =
       vkb.head() >= 2 ? vkb.head() - 2 : vkb.head();
-  (void)version::SaveVersionSnapshot(vkb, snap_at, pair.snapshot_path);
+  (void)version::SaveCheckpoint(vkb, snap_at, pair.checkpoint_dir);
   (void)log->Sync();
   return pair;
 }
@@ -140,8 +150,7 @@ void PrintPersistenceTable() {
 
     const DurablePair pair = Persist(scale, seed, "table_cold");
     Stopwatch cold_timer;
-    auto recovered =
-        version::RecoverFromDisk(pair.snapshot_path, pair.log_path);
+    auto recovered = version::Recover(pair.checkpoint_dir, pair.log_path);
     double cold_ms = cold_timer.ElapsedMillis();
     if (!recovered.ok()) continue;
     benchmark::DoNotOptimize(recovered->vkb->head());
@@ -161,8 +170,7 @@ void PrintPersistenceTable() {
          TablePrinter::Cell(regen_ms, 1), TablePrinter::Cell(cold_ms, 2),
          TablePrinter::Cell(regen_ms / cold_ms, 1)});
     std::remove(snapshot_path.c_str());
-    std::remove(pair.snapshot_path.c_str());
-    std::remove(pair.log_path.c_str());
+    RemovePair(pair);
   }
   table.Print(std::cout);
   std::printf(
@@ -248,22 +256,20 @@ void BM_RegenerateInMemory(benchmark::State& state) {
 }
 BENCHMARK(BM_RegenerateInMemory)->Unit(benchmark::kMillisecond);
 
-// The storage-layer cold start: latest snapshot + log tail replay,
+// The storage-layer cold start: latest checkpoint + log tail replay,
 // fingerprint chain verified. Must be >=5x faster than
 // BM_RegenerateInMemory (E12's headline claim).
 void BM_ColdStartFromDisk(benchmark::State& state) {
   const DurablePair pair = Persist(kTimedScale, kTimedSeed, "bm_cold");
   for (auto _ : state) {
-    auto recovered =
-        version::RecoverFromDisk(pair.snapshot_path, pair.log_path);
+    auto recovered = version::Recover(pair.checkpoint_dir, pair.log_path);
     if (!recovered.ok()) {
       state.SkipWithError("recovery failed");
       break;
     }
     benchmark::DoNotOptimize(recovered->vkb->head());
   }
-  std::remove(pair.snapshot_path.c_str());
-  std::remove(pair.log_path.c_str());
+  RemovePair(pair);
 }
 BENCHMARK(BM_ColdStartFromDisk)->Unit(benchmark::kMillisecond);
 

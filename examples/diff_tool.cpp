@@ -54,12 +54,13 @@ Status LoadInput(const std::string& label, const std::string& bytes,
     std::printf("%s: binary snapshot of version %u (%llu triples)\n",
                 label.c_str(), decoded->info.version_id,
                 static_cast<unsigned long long>(decoded->info.triple_count));
-    for (const rdf::Triple& t : decoded->store.triples()) {
+    decoded->store.ScanT(rdf::TriplePattern{}, [&](const rdf::Triple& t) {
       kb.store().Add(
           rdf::Triple(kb.dictionary().Intern(decoded->dictionary->term(t.subject)),
                       kb.dictionary().Intern(decoded->dictionary->term(t.predicate)),
                       kb.dictionary().Intern(decoded->dictionary->term(t.object))));
-    }
+      return true;
+    });
     kb.store().Compact();
     return OkStatus();
   }

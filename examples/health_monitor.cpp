@@ -202,8 +202,8 @@ int main() {
   // exactly what it did:
   version::RecoveryOptions recovery_options;
   recovery_options.env = &disk;
-  auto recovered = version::RecoverFromCheckpoints(
-      "ops/checkpoints", "ops/wal.evlog", recovery_options);
+  auto recovered = version::Recover("ops/checkpoints", "ops/wal.evlog",
+                                    recovery_options);
   if (!recovered.ok()) {
     std::fprintf(stderr, "recovery failed: %s\n",
                  recovered.status().ToString().c_str());

@@ -66,14 +66,6 @@ bool Rng::Bernoulli(double p) {
   return UniformDouble() < p;
 }
 
-double Rng::Gaussian() {
-  // Box–Muller; avoids log(0) by nudging u1.
-  double u1 = UniformDouble();
-  if (u1 < 1e-300) u1 = 1e-300;
-  const double u2 = UniformDouble();
-  return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
-}
-
 size_t Rng::Zipf(size_t n, double s) {
   if (n == 0) return 0;
   if (n != zipf_n_ || s != zipf_s_) {

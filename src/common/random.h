@@ -31,9 +31,6 @@ class Rng {
   /// Bernoulli draw with success probability p (clamped to [0,1]).
   bool Bernoulli(double p);
 
-  /// Standard normal draw (Box–Muller).
-  double Gaussian();
-
   /// Zipf-distributed rank in [0, n) with exponent `s` (>0). Rank 0 is
   /// the most probable. Uses a cached CDF when called repeatedly with
   /// the same (n, s); cost is O(log n) per draw after O(n) setup.

@@ -1,7 +1,6 @@
 #include "common/statistics.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 namespace evorec {
@@ -10,16 +9,6 @@ double Mean(const std::vector<double>& values) {
   if (values.empty()) return 0.0;
   return std::accumulate(values.begin(), values.end(), 0.0) /
          static_cast<double>(values.size());
-}
-
-double StdDev(const std::vector<double>& values) {
-  if (values.size() < 2) return 0.0;
-  const double mean = Mean(values);
-  double acc = 0.0;
-  for (double v : values) {
-    acc += (v - mean) * (v - mean);
-  }
-  return std::sqrt(acc / static_cast<double>(values.size() - 1));
 }
 
 double Min(const std::vector<double>& values) {
@@ -94,73 +83,6 @@ double KendallTau(const std::vector<double>& a, const std::vector<double>& b) {
   }
   const double pairs = static_cast<double>(n) * (n - 1) / 2.0;
   return static_cast<double>(concordant - discordant) / pairs;
-}
-
-namespace {
-
-// Average ranks (1-based) with ties sharing the mean rank.
-std::vector<double> AverageRanks(const std::vector<double>& values) {
-  const size_t n = values.size();
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&](size_t x, size_t y) { return values[x] < values[y]; });
-  std::vector<double> ranks(n, 0.0);
-  size_t i = 0;
-  while (i < n) {
-    size_t j = i;
-    while (j + 1 < n && values[order[j + 1]] == values[order[i]]) {
-      ++j;
-    }
-    const double avg = (static_cast<double>(i) + static_cast<double>(j)) / 2.0 + 1.0;
-    for (size_t k = i; k <= j; ++k) {
-      ranks[order[k]] = avg;
-    }
-    i = j + 1;
-  }
-  return ranks;
-}
-
-}  // namespace
-
-double SpearmanRho(const std::vector<double>& a, const std::vector<double>& b) {
-  const size_t n = std::min(a.size(), b.size());
-  if (n < 2) return 0.0;
-  std::vector<double> ra =
-      AverageRanks(std::vector<double>(a.begin(), a.begin() + n));
-  std::vector<double> rb =
-      AverageRanks(std::vector<double>(b.begin(), b.begin() + n));
-  const double mean_a = Mean(ra);
-  const double mean_b = Mean(rb);
-  double cov = 0.0;
-  double var_a = 0.0;
-  double var_b = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    const double da = ra[i] - mean_a;
-    const double db = rb[i] - mean_b;
-    cov += da * db;
-    var_a += da * da;
-    var_b += db * db;
-  }
-  if (var_a <= 0.0 || var_b <= 0.0) return 0.0;
-  return cov / std::sqrt(var_a * var_b);
-}
-
-double NdcgAtK(const std::vector<double>& relevance, size_t k) {
-  if (relevance.empty() || k == 0) return 0.0;
-  const size_t cutoff = std::min(k, relevance.size());
-  double dcg = 0.0;
-  for (size_t i = 0; i < cutoff; ++i) {
-    dcg += relevance[i] / std::log2(static_cast<double>(i) + 2.0);
-  }
-  std::vector<double> ideal = relevance;
-  std::sort(ideal.begin(), ideal.end(), std::greater<double>());
-  double idcg = 0.0;
-  for (size_t i = 0; i < cutoff; ++i) {
-    idcg += ideal[i] / std::log2(static_cast<double>(i) + 2.0);
-  }
-  if (idcg <= 0.0) return 0.0;
-  return dcg / idcg;
 }
 
 }  // namespace evorec

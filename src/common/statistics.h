@@ -10,10 +10,6 @@ namespace evorec {
 /// Arithmetic mean; 0 for empty input.
 double Mean(const std::vector<double>& values);
 
-/// Sample standard deviation (n-1 denominator); 0 for fewer than two
-/// values.
-double StdDev(const std::vector<double>& values);
-
 /// Minimum; 0 for empty input.
 double Min(const std::vector<double>& values);
 
@@ -36,14 +32,6 @@ double JaccardSimilarity(std::vector<uint32_t> a, std::vector<uint32_t> b);
 /// vectors indexed by the same items, in [-1,1]. Used to compare
 /// rankings produced by different evolution measures (E4).
 double KendallTau(const std::vector<double>& a, const std::vector<double>& b);
-
-/// Spearman rank correlation (average ranks for ties), in [-1,1].
-double SpearmanRho(const std::vector<double>& a, const std::vector<double>& b);
-
-/// Normalised discounted cumulative gain at cutoff k. `relevance[i]` is
-/// the graded relevance of the item ranked at position i (0-based).
-/// `ideal` is the relevance vector sorted descending.
-double NdcgAtK(const std::vector<double>& relevance, size_t k);
 
 }  // namespace evorec
 

@@ -59,18 +59,4 @@ std::unordered_map<rdf::TermId, size_t> PerTermChangeCounts(
   return counts;
 }
 
-size_t ChangesInvolving(const LowLevelDelta& delta, rdf::TermId term) {
-  size_t count = 0;
-  auto involves = [term](const rdf::Triple& t) {
-    return t.subject == term || t.predicate == term || t.object == term;
-  };
-  for (const rdf::Triple& t : delta.added) {
-    if (involves(t)) ++count;
-  }
-  for (const rdf::Triple& t : delta.removed) {
-    if (involves(t)) ++count;
-  }
-  return count;
-}
-
 }  // namespace evorec::delta

@@ -45,9 +45,6 @@ LowLevelDelta DeltaFromCandidates(const rdf::KnowledgeBase& before,
 std::unordered_map<rdf::TermId, size_t> PerTermChangeCounts(
     const LowLevelDelta& delta);
 
-/// δ(n) for a single term without materialising the full map.
-size_t ChangesInvolving(const LowLevelDelta& delta, rdf::TermId term);
-
 }  // namespace evorec::delta
 
 #endif  // EVOREC_DELTA_LOW_LEVEL_DELTA_H_

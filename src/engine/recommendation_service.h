@@ -198,9 +198,10 @@ class RecommendationService {
   /// context, every registered measure report, the recommender's
   /// shared run state — without serving anyone, so the first real
   /// request is a pure cache hit. This is the restart story's second
-  /// half: version::RecoverFromDisk restores a KB with its original
-  /// content fingerprints, so the keys warmed here are the exact keys
-  /// the pre-restart process was serving under.
+  /// half: version::Recover restores a KB from its checkpoints and
+  /// commit log with its original content fingerprints, so the keys
+  /// warmed here are the exact keys the pre-restart process was
+  /// serving under.
   Status WarmStart(const version::KbView& view, version::VersionId v1,
                    version::VersionId v2);
 

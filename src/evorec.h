@@ -45,7 +45,6 @@
 #include "common/table_printer.h"
 #include "common/thread_pool.h"
 #include "delta/delta_index.h"
-#include "delta/delta_io.h"
 #include "delta/high_level_delta.h"
 #include "delta/low_level_delta.h"
 #include "engine/admission.h"
@@ -55,7 +54,6 @@
 #include "graph/betweenness.h"
 #include "graph/bridging.h"
 #include "graph/graph.h"
-#include "graph/graph_metrics.h"
 #include "graph/schema_graph.h"
 #include "measures/centrality.h"
 #include "measures/change_count.h"
@@ -97,7 +95,6 @@
 #include "storage/fault_env.h"
 #include "storage/format.h"
 #include "storage/snapshot.h"
-#include "version/history_query.h"
 #include "version/kb_view.h"
 #include "version/recovery.h"
 #include "version/sharded_kb.h"

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/statistics.h"
 
 namespace evorec::measures {
 
@@ -84,10 +83,6 @@ double MeasureReport::TotalScore() const {
   double total = 0.0;
   for (const ScoredTerm& s : scores_) total += s.score;
   return total;
-}
-
-double TopKOverlap(const MeasureReport& a, const MeasureReport& b, size_t k) {
-  return JaccardSimilarity(a.TopKTerms(k), b.TopKTerms(k));
 }
 
 }  // namespace evorec::measures

@@ -59,11 +59,6 @@ class MeasureReport {
   std::vector<ScoredTerm> scores_;
 };
 
-/// Jaccard similarity of the top-k term sets of two reports — the
-/// content-based distance core used by the diversity selector
-/// (distance = 1 - overlap).
-double TopKOverlap(const MeasureReport& a, const MeasureReport& b, size_t k);
-
 }  // namespace evorec::measures
 
 #endif  // EVOREC_MEASURES_REPORT_H_

@@ -138,17 +138,4 @@ std::vector<EvolutionTimeline::TrendStats> EvolutionTimeline::TopBursty(
                  });
 }
 
-std::vector<rdf::TermId> EvolutionTimeline::ActiveTerms() const {
-  std::vector<rdf::TermId> active;
-  for (rdf::TermId term : terms_) {
-    for (const MeasureReport& report : reports_) {
-      if (report.ScoreOf(term) > 0.0) {
-        active.push_back(term);
-        break;
-      }
-    }
-  }
-  return active;
-}
-
 }  // namespace evorec::measures

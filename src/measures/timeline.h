@@ -66,9 +66,6 @@ class EvolutionTimeline {
   /// excluded).
   std::vector<TrendStats> TopBursty(size_t k) const;
 
-  /// All terms that ever scored > 0.
-  std::vector<rdf::TermId> ActiveTerms() const;
-
  private:
   std::vector<MeasureReport> reports_;
   // Union of terms over all reports, sorted.

@@ -17,15 +17,6 @@ double HumanProfile::InterestIn(rdf::TermId term) const {
   return it == interests_.end() ? 0.0 : it->second;
 }
 
-double HumanProfile::TotalInterest() const {
-  double total = 0.0;
-  for (const auto& [term, weight] : interests_) {
-    (void)term;
-    total += weight;
-  }
-  return total;
-}
-
 void HumanProfile::SetCategoryAffinity(measures::MeasureCategory category,
                                        double weight) {
   category_affinity_[static_cast<int>(category)] = weight;

@@ -38,9 +38,6 @@ class HumanProfile {
     return interests_;
   }
 
-  /// Sum of interest weights.
-  double TotalInterest() const;
-
   /// Sets the affinity for a measure category (default 1.0 for all).
   void SetCategoryAffinity(measures::MeasureCategory category, double weight);
 

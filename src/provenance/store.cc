@@ -61,15 +61,6 @@ std::vector<ProvRecord> ProvenanceStore::ByAgent(
   return out;
 }
 
-std::vector<ProvRecord> ProvenanceStore::InTimeRange(uint64_t from,
-                                                     uint64_t to) const {
-  std::vector<ProvRecord> out;
-  for (const ProvRecord& r : records_) {
-    if (r.timestamp >= from && r.timestamp <= to) out.push_back(r);
-  }
-  return out;
-}
-
 Result<std::vector<ProvRecord>> ProvenanceStore::DerivationChain(
     RecordId id) const {
   if (id >= records_.size()) {

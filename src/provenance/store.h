@@ -33,9 +33,6 @@ class ProvenanceStore {
   /// All records by `agent`, in append order.
   std::vector<ProvRecord> ByAgent(std::string_view agent) const;
 
-  /// Records with timestamp in [from, to], in append order.
-  std::vector<ProvRecord> InTimeRange(uint64_t from, uint64_t to) const;
-
   /// Transitive derivation inputs of `id` (the full "how"), in
   /// topological order from the queried record backwards; excludes
   /// `id` itself.

@@ -153,14 +153,15 @@ Status ParseNTriples(std::string_view text, Dictionary& dictionary,
 std::string WriteNTriples(const TripleStore& store,
                           const Dictionary& dictionary) {
   std::string out;
-  for (const Triple& t : store.triples()) {
+  store.ScanT(TriplePattern{}, [&](const Triple& t) {
     out += dictionary.term(t.subject).ToNTriples();
     out += " ";
     out += dictionary.term(t.predicate).ToNTriples();
     out += " ";
     out += dictionary.term(t.object).ToNTriples();
     out += " .\n";
-  }
+    return true;
+  });
   return out;
 }
 

@@ -103,7 +103,6 @@ TripleStore TripleStore::FromSegments(
 TripleStore::TripleStore(const TripleStore& other)
     : segments_(other.segments_),
       size_(other.size_),
-      flat_(other.flat_),
       pending_adds_(other.pending_adds_),
       pending_removes_(other.pending_removes_),
       dirty_(other.dirty_) {
@@ -208,7 +207,6 @@ void TripleStore::Compact() const {
     segments_.push_back(std::make_shared<const Segment>(
         std::move(live), std::move(tombstones)));
     ++stats_.segments_frozen;
-    flat_.reset();
     MaybeMergeSegments();
   }
 
@@ -358,11 +356,6 @@ size_t TripleStore::MemoryBytesDedup(
   if (osp_ && seen.insert(osp_.get()).second) {
     bytes += osp_->capacity() * sizeof(Triple);
   }
-  if (flat_ &&
-      (segments_.empty() || flat_.get() != &segments_.front()->live()) &&
-      seen.insert(flat_.get()).second) {
-    bytes += flat_->capacity() * sizeof(Triple);
-  }
   bytes += (backlog_adds_.capacity() + backlog_removes_.capacity()) *
            sizeof(Triple);
   bytes += (pending_adds_.size() + pending_removes_.size()) * sizeof(Triple);
@@ -377,36 +370,6 @@ bool TripleStore::Contains(const Triple& t) const {
 size_t TripleStore::size() const {
   Compact();
   return size_;
-}
-
-const std::vector<Triple>& TripleStore::triples() const {
-  Compact();
-  if (flat_) return *flat_;
-  if (segments_.empty()) {
-    flat_ = std::make_shared<const std::vector<Triple>>();
-    return *flat_;
-  }
-  if (segments_.size() == 1) {
-    // Zero-copy alias: the lone base segment *is* the flat SPO run
-    // (its tombstones, if any, shadow nothing).
-    flat_ = std::shared_ptr<const std::vector<Triple>>(segments_.front(),
-                                                       &segments_.front()->live());
-    return *flat_;
-  }
-  auto flat = std::make_shared<std::vector<Triple>>();
-  flat->reserve(size_);
-  detail::WalkSegments(segments_, Triple{0, 0, 0}, [&](const Triple& t) {
-    flat->push_back(t);
-    return true;
-  });
-  ++stats_.materializations;
-  flat_ = std::move(flat);
-  return *flat_;
-}
-
-void TripleStore::Scan(const TriplePattern& pattern,
-                       const std::function<bool(const Triple&)>& fn) const {
-  ScanT(pattern, fn);
 }
 
 std::vector<Triple> TripleStore::Match(const TriplePattern& pattern) const {

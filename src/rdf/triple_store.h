@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_set>
 #include <vector>
@@ -16,8 +15,7 @@ namespace evorec::rdf {
 /// Counters describing the indexing work a store has performed, so
 /// benches and tests can verify that SPO-only consumers (Contains,
 /// scans, Difference — i.e. the E1 delta path) never pay for the
-/// secondary POS/OSP permutation indexes, and that the serving path
-/// never materialises a whole-store flat copy. Copies start from zero.
+/// secondary POS/OSP permutation indexes. Copies start from zero.
 struct TripleStoreStats {
   uint64_t compactions = 0;      ///< pending-buffer freezes
   uint64_t pos_full_builds = 0;  ///< POS rebuilt by full walk + sort
@@ -26,9 +24,10 @@ struct TripleStoreStats {
   uint64_t osp_catchups = 0;
   uint64_t segments_frozen = 0;  ///< freezes that produced a segment
   uint64_t segment_merges = 0;   ///< size-tiered pairwise segment merges
-  /// Whole-store flat SPO copies: triples() flattening a multi-segment
-  /// stack. The concurrent-serving contract asserts this stays zero on
-  /// the read-serving path — snapshots are segment lists, never copies.
+  /// Always 0: no store operation materialises a whole-store flat copy
+  /// (every full read is a merged ScanT/Match over the segment list).
+  /// Kept only because perfbench still reports it as
+  /// rdf.materializations.
   uint64_t materializations = 0;
 
   uint64_t secondary_builds() const {
@@ -72,8 +71,8 @@ struct TripleStoreStats {
 /// left by Compact()) supports concurrent Contains / s-bound / full /
 /// (s,p,o) pattern reads from any number of threads, because those
 /// paths only binary-search the immutable stack. First-use POS/OSP
-/// builds and triples() mutate memo state and need external
-/// serialisation, as does any mutation.
+/// builds mutate memo state and need external serialisation, as does
+/// any mutation.
 class TripleStore {
  public:
   TripleStore() = default;
@@ -185,22 +184,11 @@ class TripleStore {
     });
   }
 
-  /// Type-erased convenience wrapper over ScanT.
-  void Scan(const TriplePattern& pattern,
-            const std::function<bool(const Triple&)>& fn) const;
-
   /// Number of distinct triples. O(1) on a frozen store: freezes
   /// maintain the effective count incrementally.
   size_t size() const;
 
   bool empty() const { return size() == 0; }
-
-  /// All triples in canonical SPO order. On a single-segment store
-  /// this aliases the base segment (zero copy); on a multi-segment
-  /// stack it materialises (and memoises) a flat copy, counted in
-  /// stats().materializations — serving-path code must prefer
-  /// ScanT/Contains, which never flatten.
-  const std::vector<Triple>& triples() const;
 
   /// Set difference: triples of `a` not in `b` (both need not be
   /// compacted; result is SPO-sorted). This is the primitive behind
@@ -282,9 +270,6 @@ class TripleStore {
   mutable std::vector<std::shared_ptr<const Segment>> segments_;
   // Effective triple count of the stack (maintained at freeze time).
   mutable size_t size_ = 0;
-  // Memoised flat SPO materialisation (null until triples() needs it;
-  // aliases the base segment when the stack is a single segment).
-  mutable std::shared_ptr<const std::vector<Triple>> flat_;
   // Permutations stored as reordered flat runs for cache-friendly
   // scans; immutable and shared between copies while fresh.
   mutable std::shared_ptr<const std::vector<Triple>> pos_;  // (p, o, s)

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <limits>
 
 namespace evorec::schema {
 
@@ -68,10 +67,6 @@ std::vector<rdf::TermId> Reach(
 
 }  // namespace
 
-std::vector<rdf::TermId> ClassHierarchy::Ancestors(rdf::TermId cls) const {
-  return Reach(cls, parents_);
-}
-
 std::vector<rdf::TermId> ClassHierarchy::Descendants(rdf::TermId cls) const {
   return Reach(cls, children_);
 }
@@ -98,52 +93,6 @@ std::vector<rdf::TermId> ClassHierarchy::Roots() const {
   }
   std::sort(roots.begin(), roots.end());
   return roots;
-}
-
-size_t ClassHierarchy::DepthOf(rdf::TermId cls) const {
-  // Longest path to a root; memoised DFS would be faster, but
-  // hierarchies here are shallow (depth < 20) so iterative BFS by
-  // levels suffices.
-  size_t depth = 0;
-  std::unordered_set<rdf::TermId> frontier{cls};
-  std::unordered_set<rdf::TermId> visited{cls};
-  while (true) {
-    std::unordered_set<rdf::TermId> next;
-    for (rdf::TermId node : frontier) {
-      for (rdf::TermId parent : Parents(node)) {
-        if (visited.insert(parent).second) next.insert(parent);
-      }
-    }
-    if (next.empty()) break;
-    ++depth;
-    frontier.swap(next);
-  }
-  return depth;
-}
-
-size_t ClassHierarchy::UndirectedDistance(rdf::TermId a, rdf::TermId b) const {
-  if (a == b) return 0;
-  std::unordered_map<rdf::TermId, size_t> dist{{a, 0}};
-  std::deque<rdf::TermId> queue{a};
-  while (!queue.empty()) {
-    const rdf::TermId node = queue.front();
-    queue.pop_front();
-    const size_t d = dist[node];
-    auto visit = [&](rdf::TermId next) -> bool {
-      if (dist.count(next)) return false;
-      if (next == b) return true;
-      dist[next] = d + 1;
-      queue.push_back(next);
-      return false;
-    };
-    for (rdf::TermId parent : Parents(node)) {
-      if (visit(parent)) return d + 1;
-    }
-    for (rdf::TermId child : Children(node)) {
-      if (visit(child)) return d + 1;
-    }
-  }
-  return std::numeric_limits<size_t>::max();
 }
 
 bool ClassHierarchy::IsAcyclic() const {

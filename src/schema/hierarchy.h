@@ -10,11 +10,10 @@
 namespace evorec::schema {
 
 /// The subsumption DAG of a snapshot (rdfs:subClassOf edges), with
-/// reachability and depth utilities. Consumed by:
+/// reachability utilities. Consumed by:
 ///  - interest propagation in the relatedness scorer (interests flow to
 ///    sub/superclasses with decay),
-///  - generalisation hierarchies for k-anonymity,
-///  - semantic diversity distances (hierarchy distance between foci).
+///  - generalisation hierarchies for k-anonymity.
 class ClassHierarchy {
  public:
   ClassHierarchy() = default;
@@ -32,9 +31,6 @@ class ClassHierarchy {
   /// Direct subclasses of `cls` (empty when unknown).
   const std::vector<rdf::TermId>& Children(rdf::TermId cls) const;
 
-  /// All transitive superclasses (not including `cls` itself).
-  std::vector<rdf::TermId> Ancestors(rdf::TermId cls) const;
-
   /// All transitive subclasses (not including `cls` itself).
   std::vector<rdf::TermId> Descendants(rdf::TermId cls) const;
 
@@ -44,14 +40,6 @@ class ClassHierarchy {
   /// Classes with no parents (among classes that appear in any edge or
   /// were registered via Touch).
   std::vector<rdf::TermId> Roots() const;
-
-  /// Length of the longest upward path from `cls` to a root; 0 for
-  /// roots and unknown classes.
-  size_t DepthOf(rdf::TermId cls) const;
-
-  /// Shortest undirected distance between two classes through
-  /// subsumption edges; returns SIZE_MAX when disconnected.
-  size_t UndirectedDistance(rdf::TermId a, rdf::TermId b) const;
 
   /// Registers a class with no edges (so it appears in Roots()).
   void Touch(rdf::TermId cls);

@@ -26,9 +26,7 @@ SchemaView SchemaView::Build(const rdf::KnowledgeBase& kb) {
   auto note_property = [&](rdf::TermId id) { view.property_set_.insert(id); };
 
   // All three passes stream the store in SPO order via full merged
-  // scans instead of store.triples(): on a segmented snapshot that
-  // avoids materialising a whole-store flat copy (the emission order
-  // is identical, so the built view is too).
+  // scans, so a segmented snapshot is never flattened.
 
   // Pass 1: schema-level triples establish classes and properties.
   store.ScanT(rdf::TriplePattern{}, [&](const rdf::Triple& t) {
@@ -121,24 +119,16 @@ SchemaView SchemaView::Build(const rdf::KnowledgeBase& kb) {
               return a.classes.to < b.classes.to;
             });
 
-  // Domain/range declarations also induce class adjacency and
-  // class→property incidence.
+  // Domain/range declarations also induce class adjacency.
   for (const auto& [prop, domain_list] : view.domains_) {
     auto range_it = view.ranges_.find(prop);
+    if (range_it == view.ranges_.end()) continue;
     for (rdf::TermId d : domain_list) {
-      view.properties_touching_[d].push_back(prop);
-      if (range_it != view.ranges_.end()) {
-        for (rdf::TermId r : range_it->second) {
-          if (d == r) continue;
-          view.property_adjacent_[d].insert(r);
-          view.property_adjacent_[r].insert(d);
-        }
+      for (rdf::TermId r : range_it->second) {
+        if (d == r) continue;
+        view.property_adjacent_[d].insert(r);
+        view.property_adjacent_[r].insert(d);
       }
-    }
-  }
-  for (const auto& [prop, range_list] : view.ranges_) {
-    for (rdf::TermId r : range_list) {
-      view.properties_touching_[r].push_back(prop);
     }
   }
 
@@ -147,11 +137,6 @@ SchemaView SchemaView::Build(const rdf::KnowledgeBase& kb) {
   view.properties_.assign(view.property_set_.begin(),
                           view.property_set_.end());
   std::sort(view.properties_.begin(), view.properties_.end());
-  for (auto& [cls, props] : view.properties_touching_) {
-    (void)cls;
-    std::sort(props.begin(), props.end());
-    props.erase(std::unique(props.begin(), props.end()), props.end());
-  }
   return view;
 }
 
@@ -230,12 +215,6 @@ std::vector<rdf::TermId> SchemaView::PropertyNeighbors(rdf::TermId n) const {
   std::sort(out.begin(), out.end());
   out.erase(std::remove(out.begin(), out.end(), n), out.end());
   return out;
-}
-
-std::vector<rdf::TermId> SchemaView::PropertiesTouching(rdf::TermId n) const {
-  auto it = properties_touching_.find(n);
-  if (it == properties_touching_.end()) return {};
-  return it->second;
 }
 
 }  // namespace evorec::schema

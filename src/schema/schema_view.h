@@ -127,9 +127,6 @@ class SchemaView {
   /// only.
   std::vector<rdf::TermId> PropertyNeighbors(rdf::TermId n) const;
 
-  /// Properties whose declared domain or range is `n`.
-  std::vector<rdf::TermId> PropertiesTouching(rdf::TermId n) const;
-
  private:
   std::vector<rdf::TermId> classes_;
   std::unordered_set<rdf::TermId> class_set_;
@@ -146,8 +143,6 @@ class SchemaView {
   // and observed instance connections.
   std::unordered_map<rdf::TermId, std::unordered_set<rdf::TermId>>
       property_adjacent_;
-  std::unordered_map<rdf::TermId, std::vector<rdf::TermId>>
-      properties_touching_;
   // Lazily filled per-class neighborhood memo, shared between copies.
   struct NeighborhoodMemo {
     std::once_flag once;

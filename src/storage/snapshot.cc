@@ -64,7 +64,9 @@ Status ReadSection(ByteReader& reader, uint32_t expected_id,
 std::string EncodeSnapshot(const rdf::TripleStore& store,
                            const rdf::Dictionary& dictionary,
                            uint32_t version_id, uint64_t fingerprint) {
-  const std::vector<rdf::Triple>& spo = store.triples();  // compacts
+  // A transient merged scan (SPO order): nothing stays memoised on the
+  // store, so saving a version leaves its footprint unchanged.
+  const std::vector<rdf::Triple> spo = store.Match(rdf::TriplePattern{});
 
   std::string terms;
   for (rdf::TermId id = 0; id < dictionary.size(); ++id) {

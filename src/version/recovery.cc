@@ -59,11 +59,14 @@ Status ApplyDictionaryTail(const storage::DeltaRecord& record,
 }
 
 /// Replays the log image on top of `recovered` (whose vkb holds the
-/// restored base). Failure codes carry the diagnosis:
-/// kInvalidArgument = the log itself is corrupt (fatal for any base),
-/// kFailedPrecondition = this base and the log disagree (try another).
+/// restored base), counting into `report`. Failure codes carry the
+/// diagnosis: kInvalidArgument = the log itself is corrupt (fatal for
+/// any base), kFailedPrecondition = this base and the log disagree
+/// (try another).
 Status ReplayLogInto(RecoveredKb& recovered, std::string_view log_bytes,
-                     const RecoveryOptions& options) {
+                     const RecoveryOptions& options, RecoveryReport& report) {
+  report.replayed_commits = 0;
+  report.skipped_records = 0;
   VersionedKnowledgeBase& vkb = *recovered.vkb;
   rdf::Dictionary& dictionary = vkb.dictionary();
   VersionId next_expected = recovered.base_version + 1;
@@ -83,7 +86,7 @@ Status ReplayLogInto(RecoveredKb& recovered, std::string_view log_bytes,
                 " references terms beyond the snapshot dictionary "
                 "(snapshot/log mismatch)");
           }
-          ++recovered.skipped_records;
+          ++report.skipped_records;
           return OkStatus();
         }
         if (record.version_id != next_expected) {
@@ -113,7 +116,7 @@ Status ReplayLogInto(RecoveredKb& recovered, std::string_view log_bytes,
           }
         }
         ++next_expected;
-        ++recovered.replayed_commits;
+        ++report.replayed_commits;
         return OkStatus();
       },
       replay);
@@ -146,20 +149,6 @@ constexpr std::string_view kCheckpointPrefix = "checkpoint-";
 constexpr std::string_view kCheckpointSuffix = ".snap";
 
 }  // namespace
-
-Result<RecoveredKb> RecoverFromDisk(const std::string& snapshot_path,
-                                    const std::string& log_path,
-                                    const RecoveryOptions& options) {
-  auto decoded = storage::LoadSnapshot(snapshot_path, options.env);
-  if (!decoded.ok()) return decoded.status();
-  RecoveredKb recovered = BuildBase(std::move(*decoded));
-  if (log_path.empty()) return recovered;
-
-  auto log_bytes = ReadFileToString(log_path, options.env);
-  if (!log_bytes.ok()) return log_bytes.status();
-  EVOREC_RETURN_IF_ERROR(ReplayLogInto(recovered, *log_bytes, options));
-  return recovered;
-}
 
 std::string CheckpointPath(const std::string& dir, VersionId v) {
   std::string digits = std::to_string(v);
@@ -208,9 +197,9 @@ Status SaveCheckpoint(const VersionedKnowledgeBase& vkb, VersionId v,
   return OkStatus();
 }
 
-Result<RecoveredKb> RecoverFromCheckpoints(const std::string& dir,
-                                           const std::string& log_path,
-                                           const RecoveryOptions& options) {
+Result<RecoveredKb> Recover(const std::string& dir,
+                            const std::string& log_path,
+                            const RecoveryOptions& options) {
   Env* env = options.env != nullptr ? options.env : Env::Default();
   auto checkpoints = ListCheckpoints(dir, env);
   if (!checkpoints.ok()) return checkpoints.status();
@@ -232,13 +221,11 @@ Result<RecoveredKb> RecoverFromCheckpoints(const std::string& dir,
     auto decoded = storage::LoadSnapshot(path, env);
     if (decoded.ok()) {
       RecoveredKb recovered = BuildBase(std::move(*decoded));
-      Status replayed = have_log
-                            ? ReplayLogInto(recovered, log_bytes, options)
-                            : OkStatus();
+      Status replayed =
+          have_log ? ReplayLogInto(recovered, log_bytes, options, report)
+                   : OkStatus();
       if (replayed.ok()) {
         report.checkpoint_used = path;
-        report.replayed_commits = recovered.replayed_commits;
-        report.skipped_records = recovered.skipped_records;
         recovered.report = std::move(report);
         return recovered;
       }
@@ -265,11 +252,9 @@ Result<RecoveredKb> RecoverFromCheckpoints(const std::string& dir,
     RecoveredKb recovered;
     recovered.base_version = 0;
     recovered.vkb = std::make_unique<VersionedKnowledgeBase>();
-    Status replayed = ReplayLogInto(recovered, log_bytes, options);
+    Status replayed = ReplayLogInto(recovered, log_bytes, options, report);
     if (replayed.ok()) {
       report.log_only = true;
-      report.replayed_commits = recovered.replayed_commits;
-      report.skipped_records = recovered.skipped_records;
       recovered.report = std::move(report);
       return recovered;
     }

@@ -12,21 +12,21 @@
 
 namespace evorec::version {
 
-/// Durable startup for a versioned KB: load the latest snapshot,
+/// Durable startup for a versioned KB: load the latest checkpoint,
 /// replay the commit-log tail, and come back with the exact
 /// fingerprint chain the pre-restart process had — so a warm-started
 /// engine (engine::RecommendationService::WarmStart) resumes serving
 /// with its cache keys intact. The inverse direction is
-/// SaveVersionSnapshot + VersionedKnowledgeBase::AttachCommitLog.
+/// SaveCheckpoint + VersionedKnowledgeBase::AttachCommitLog.
 ///
-/// The checkpoint-directory API makes startup *self-healing*: keep
-/// the last K snapshots (SaveCheckpoint), and RecoverFromCheckpoints
-/// tries them newest-first, quarantining any that fail to load or
-/// disagree with the log (renamed to `<name>.corrupt` for post-mortem)
-/// and paying a longer log replay from the next-older one instead. A
-/// corrupt *log* record below the readable tail is the one
-/// unrecoverable case — no snapshot choice can cross it — and is
-/// reported as such rather than blamed on a healthy snapshot.
+/// Startup is *self-healing*: keep the last K snapshots
+/// (SaveCheckpoint), and Recover tries them newest-first, quarantining
+/// any that fail to load or disagree with the log (renamed to
+/// `<name>.corrupt` for post-mortem) and paying a longer log replay
+/// from the next-older one instead. A corrupt *log* record below the
+/// readable tail is the one unrecoverable case — no snapshot choice
+/// can cross it — and is reported as such rather than blamed on a
+/// healthy snapshot.
 
 struct RecoveryOptions {
   /// Stop cleanly before a torn final log record (WAL semantics)
@@ -53,7 +53,10 @@ struct RecoveryReport {
   std::vector<std::string> quarantined;
   /// Checkpoints present when recovery started.
   size_t checkpoints_found = 0;
+  /// Log records replayed on top of the restored base.
   size_t replayed_commits = 0;
+  /// Log records at or below the base version (already in the
+  /// checkpoint).
   size_t skipped_records = 0;
   bool log_only = false;
 
@@ -68,30 +71,15 @@ struct RecoveredKb {
   std::unique_ptr<VersionedKnowledgeBase> vkb;
   /// Original version id of the restored version 0.
   VersionId base_version = 0;
-  /// Log records replayed on top of the snapshot.
-  size_t replayed_commits = 0;
-  /// Log records at or below base_version (already in the snapshot).
-  size_t skipped_records = 0;
-  /// Filled by RecoverFromCheckpoints; RecoverFromDisk only sets the
-  /// replay counters.
   RecoveryReport report;
 };
 
 /// Saves version `v` of `vkb` as a binary snapshot at `path`,
-/// stamping it with v's id and chained content fingerprint.
+/// stamping it with v's id and chained content fingerprint. The
+/// primitive behind SaveCheckpoint.
 Status SaveVersionSnapshot(const VersionedKnowledgeBase& vkb, VersionId v,
                            const std::string& path,
                            const storage::SnapshotOptions& options = {});
-
-/// Loads the snapshot at `snapshot_path` and replays the records of
-/// `log_path` (pass "" for snapshot-only recovery) whose version id
-/// exceeds the snapshot's. Errors cleanly on mismatched pairs: a
-/// version-id gap between snapshot and log tail, a dictionary-tail
-/// misalignment, or (with verify_fingerprints) a fingerprint chain
-/// divergence.
-Result<RecoveredKb> RecoverFromDisk(const std::string& snapshot_path,
-                                    const std::string& log_path,
-                                    const RecoveryOptions& options = {});
 
 // ---- Checkpoint directories ----
 
@@ -111,14 +99,20 @@ Status SaveCheckpoint(const VersionedKnowledgeBase& vkb, VersionId v,
 Result<std::vector<std::string>> ListCheckpoints(const std::string& dir,
                                                  Env* env = nullptr);
 
-/// Self-healing recovery (see file comment): newest checkpoint first,
-/// quarantine-and-fall-back on snapshot failures, log-only replay
-/// from an empty base when no checkpoint is usable. The returned
-/// RecoveredKb::report says exactly what happened. Fails only when the
-/// log itself is corrupt or every path (including log-only) disagrees.
-Result<RecoveredKb> RecoverFromCheckpoints(const std::string& dir,
-                                           const std::string& log_path,
-                                           const RecoveryOptions& options = {});
+/// Self-healing recovery (see file comment): newest checkpoint in
+/// `dir` first, replaying the records of `log_path` (pass "" for
+/// checkpoint-only recovery) whose version id exceeds the
+/// checkpoint's; quarantine-and-fall-back on snapshot failures and
+/// snapshot/log mismatches (a version-id gap, a dictionary-tail
+/// misalignment or, with verify_fingerprints, a fingerprint-chain
+/// divergence); log-only replay from an empty base when no checkpoint
+/// is usable. The returned RecoveredKb::report says exactly what
+/// happened. Fails only when the log itself is corrupt
+/// (kInvalidArgument, nothing quarantined) or every path, log-only
+/// included, disagrees.
+Result<RecoveredKb> Recover(const std::string& dir,
+                            const std::string& log_path,
+                            const RecoveryOptions& options = {});
 
 }  // namespace evorec::version
 

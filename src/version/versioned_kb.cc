@@ -67,8 +67,6 @@ VersionedKnowledgeBase::Base VersionedKnowledgeBase::HashBase(
     rdf::KnowledgeBase kb) {
   std::vector<uint64_t> term_hashes;
   uint64_t fp = 0xCBF29CE484222325ULL;
-  // A merged scan, not triples(): hashing must not leave a flat copy
-  // of a multi-segment base behind.
   kb.store().ScanT(rdf::TriplePattern{}, [&](const rdf::Triple& t) {
     fp = HashTriple(kb.dictionary(), term_hashes, fp, t);
     return true;
@@ -98,8 +96,6 @@ void VersionedKnowledgeBase::AttachCommitLog(storage::CommitLog* log) {
   log_ = log;
   logged_terms_ = static_cast<rdf::TermId>(dictionary_->size());
 }
-
-void VersionedKnowledgeBase::DetachCommitLog() { log_ = nullptr; }
 
 Result<VersionId> VersionedKnowledgeBase::Commit(ChangeSet changes,
                                                  std::string author,

@@ -81,9 +81,6 @@ class VersionedKnowledgeBase final : public VersionHistory {
   /// returns is the log's LogOptions::sync_on_append.
   void AttachCommitLog(storage::CommitLog* log);
 
-  /// Stops logging (the log itself stays open).
-  void DetachCommitLog();
-
   storage::CommitLog* commit_log() const { return log_; }
 
   /// The pinned snapshot of version `v`. The pointer stays valid for

@@ -102,8 +102,6 @@ EvolutionOutcome GenerateEvolution(const rdf::KnowledgeBase& current,
     instances[cls] = view.InstancesOf(cls);
     for (rdf::TermId inst : instances[cls]) type_of[inst] = cls;
   }
-  // A merged scan, not triples(): on a segmented snapshot triples()
-  // would leave a flat copy behind on the caller's version.
   std::vector<InstanceEdge> edges;
   current.store().ScanT(rdf::TriplePattern{}, [&](const rdf::Triple& t) {
     if (voc.IsSchemaPredicate(t.predicate)) return true;

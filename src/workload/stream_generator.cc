@@ -35,17 +35,17 @@ uint64_t ExponentialGap(Rng& rng, double mean_us) {
   return gap >= 1.0 ? static_cast<uint64_t>(gap) : 1;
 }
 
-// The block of instance-level triples kAdversarialChurn flaps. Drawn
-// from the generator's private working copy (the triples() flat copy
-// never touches a served snapshot).
+// The block of instance-level triples kAdversarialChurn flaps, drawn
+// from the generator's private working copy in SPO order.
 std::vector<rdf::Triple> PickFlapPool(const rdf::KnowledgeBase& working,
                                       size_t block, Rng& rng) {
   std::vector<rdf::Triple> instance_level;
-  for (const rdf::Triple& t : working.store().triples()) {
+  working.store().ScanT(rdf::TriplePattern{}, [&](const rdf::Triple& t) {
     if (!working.vocabulary().IsSchemaPredicate(t.predicate)) {
       instance_level.push_back(t);
     }
-  }
+    return true;
+  });
   std::vector<rdf::Triple> pool;
   if (instance_level.empty() || block == 0) return pool;
   const auto picks = rng.SampleWithoutReplacement(

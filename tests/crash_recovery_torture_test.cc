@@ -116,7 +116,7 @@ WorkloadTrace RunWorkload(FaultInjectionEnv* env) {
 Result<version::RecoveredKb> Recover(FaultInjectionEnv* env) {
   version::RecoveryOptions options;
   options.env = env;
-  return version::RecoverFromCheckpoints(kCheckpointDir, kLogPath, options);
+  return version::Recover(kCheckpointDir, kLogPath, options);
 }
 
 /// The recovered history must be a prefix of the scripted one: same

@@ -19,7 +19,7 @@ TEST(LowLevelDeltaTest, ComputesAddedAndRemoved) {
   before.AddIriTriple("http://x/A", "http://x/p", "http://x/B");
   before.AddIriTriple("http://x/A", "http://x/p", "http://x/C");
   KnowledgeBase after = before;  // shares dictionary
-  after.store().Remove(after.store().triples()[0]);
+  after.store().Remove(after.store().Match(rdf::TriplePattern{})[0]);
   after.AddIriTriple("http://x/D", "http://x/p", "http://x/E");
 
   const LowLevelDelta delta = ComputeLowLevelDelta(before, after);
@@ -58,9 +58,7 @@ TEST(LowLevelDeltaTest, PerTermCountsEachTripleOnce) {
   EXPECT_EQ(counts.at(5), 2u);  // both triples mention 5
   EXPECT_EQ(counts.at(7), 2u);
   EXPECT_EQ(counts.at(6), 1u);
-  EXPECT_EQ(ChangesInvolving(delta, 5), 2u);
-  EXPECT_EQ(ChangesInvolving(delta, 6), 1u);
-  EXPECT_EQ(ChangesInvolving(delta, 42), 0u);
+  EXPECT_EQ(counts.count(42), 0u);
 }
 
 // DeltaIndex fixture: Person ⊒ Student; Person —worksIn→ City.

@@ -1,6 +1,6 @@
 // Property sweeps for the graph algorithms on random graphs: exact
-// betweenness invariants, sampling consistency, and component/metric
-// sanity against brute-force references.
+// betweenness invariants against a brute-force reference, sampling
+// consistency, and bridging-coefficient sanity.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include "graph/betweenness.h"
 #include "graph/bridging.h"
 #include "graph/graph.h"
-#include "graph/graph_metrics.h"
 
 namespace evorec::graph {
 namespace {
@@ -101,36 +100,11 @@ TEST_P(GraphPropertyTest, SampledBetweennessIsUnbiasedEnough) {
   }
 }
 
-TEST_P(GraphPropertyTest, ComponentsPartitionTheGraph) {
-  const Graph g = RandomGraph(50, 45, GetParam());  // likely disconnected
-  const auto labels = ConnectedComponents(g);
-  ASSERT_EQ(labels.size(), g.node_count());
-  // Every edge connects same-labelled nodes.
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    for (NodeId w : g.Neighbors(v)) {
-      EXPECT_EQ(labels[v], labels[w]);
-    }
-  }
-  // Labels are dense 0..count-1.
-  const size_t count = ComponentCount(g);
-  for (NodeId label : labels) {
-    EXPECT_LT(label, count);
-  }
-}
-
 TEST_P(GraphPropertyTest, BridgingCoefficientFiniteAndNonNegative) {
   const Graph g = RandomGraph(40, 70, GetParam());
   for (double c : BridgingCoefficient(g)) {
     EXPECT_GE(c, 0.0);
     EXPECT_TRUE(std::isfinite(c));
-  }
-}
-
-TEST_P(GraphPropertyTest, ClusteringCoefficientBounded) {
-  const Graph g = RandomGraph(35, 90, GetParam());
-  for (double c : LocalClusteringCoefficient(g)) {
-    EXPECT_GE(c, 0.0);
-    EXPECT_LE(c, 1.0);
   }
 }
 

@@ -6,7 +6,6 @@
 
 #include "graph/betweenness.h"
 #include "graph/bridging.h"
-#include "graph/graph_metrics.h"
 #include "graph/schema_graph.h"
 #include "rdf/knowledge_base.h"
 
@@ -144,28 +143,6 @@ TEST(BridgingTest, CentralityIsProductWithBetweenness) {
   for (size_t i = 0; i < bridging.size(); ++i) {
     EXPECT_DOUBLE_EQ(bridging[i], coeff[i] * betweenness[i]);
   }
-}
-
-TEST(GraphMetricsTest, ConnectedComponents) {
-  Graph g = Graph::FromEdges(6, {{0, 1}, {1, 2}, {3, 4}});
-  const auto labels = ConnectedComponents(g);
-  EXPECT_EQ(labels[0], labels[1]);
-  EXPECT_EQ(labels[1], labels[2]);
-  EXPECT_EQ(labels[3], labels[4]);
-  EXPECT_NE(labels[0], labels[3]);
-  EXPECT_NE(labels[5], labels[0]);
-  EXPECT_NE(labels[5], labels[3]);
-  EXPECT_EQ(ComponentCount(g), 3u);
-}
-
-TEST(GraphMetricsTest, ClusteringCoefficient) {
-  // Triangle + pendant: nodes 0,1,2 form a triangle, 3 hangs off 0.
-  Graph g = Graph::FromEdges(4, {{0, 1}, {1, 2}, {0, 2}, {0, 3}});
-  const auto cc = LocalClusteringCoefficient(g);
-  EXPECT_DOUBLE_EQ(cc[1], 1.0);
-  EXPECT_DOUBLE_EQ(cc[2], 1.0);
-  EXPECT_NEAR(cc[0], 1.0 / 3.0, 1e-9);  // one triangle of three pairs
-  EXPECT_DOUBLE_EQ(cc[3], 0.0);
 }
 
 TEST(SchemaGraphTest, ProjectsClassesAndAlignsIndexes) {

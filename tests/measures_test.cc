@@ -330,18 +330,5 @@ TEST(MeasureReportTest, ConstantReportNormalizesToZero) {
   EXPECT_DOUBLE_EQ(normalized.ScoreOf(2), 0.0);
 }
 
-TEST(MeasureReportTest, TopKOverlapIsJaccard) {
-  MeasureReport a;
-  a.Add(1, 3.0);
-  a.Add(2, 2.0);
-  a.Add(3, 1.0);
-  MeasureReport b;
-  b.Add(2, 3.0);
-  b.Add(3, 2.0);
-  b.Add(4, 1.0);
-  // Top-3 sets {1,2,3} vs {2,3,4}: |∩|=2, |∪|=4.
-  EXPECT_DOUBLE_EQ(TopKOverlap(a, b, 3), 0.5);
-}
-
 }  // namespace
 }  // namespace evorec::measures

@@ -1,5 +1,5 @@
 // Round-trip differential properties of the storage layer: randomized
-// commit interleavings are made durable (snapshot + commit log),
+// commit interleavings are made durable (checkpoint + commit log),
 // recovered from disk, and the recovered KB must be observationally
 // byte-identical to the original — same Match results under every
 // pattern shape, same triple counts, same N-Triples serialisation,
@@ -20,6 +20,22 @@ namespace {
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "evorec_persist_" + name;
+}
+
+void RemoveCheckpointDir(const std::string& dir) {
+  auto checkpoints = version::ListCheckpoints(dir);
+  if (checkpoints.ok()) {
+    for (const std::string& path : *checkpoints) std::remove(path.c_str());
+  }
+  std::remove(dir.c_str());
+}
+
+// A checkpoint directory holding none of an earlier run's checkpoints,
+// which recovery would otherwise prefer over this run's.
+std::string FreshCheckpointDir(const std::string& name) {
+  const std::string dir = TempPath(name);
+  RemoveCheckpointDir(dir);
+  return dir;
 }
 
 rdf::KnowledgeBase MakeBase(uint64_t seed) {
@@ -91,7 +107,8 @@ void ExpectVersionsIdentical(const version::VersionedKnowledgeBase& original,
   const rdf::TripleStore& recovered_store = (*recovered_snapshot)->store();
 
   ASSERT_EQ(original_store.size(), recovered_store.size());
-  EXPECT_EQ(original_store.triples(), recovered_store.triples());
+  EXPECT_EQ(original_store.Match(rdf::TriplePattern{}),
+            recovered_store.Match(rdf::TriplePattern{}));
   // Byte-identical down to the term content, not just the ids.
   EXPECT_EQ(rdf::WriteNTriples(original_store,
                                (*original_snapshot)->dictionary()),
@@ -100,7 +117,8 @@ void ExpectVersionsIdentical(const version::VersionedKnowledgeBase& original,
 
   // All eight pattern shapes, probed at the first / middle / last
   // triple of the version (they exercise all three indexes).
-  const std::vector<rdf::Triple>& triples = original_store.triples();
+  const std::vector<rdf::Triple> triples =
+      original_store.Match(rdf::TriplePattern{});
   if (triples.empty()) return;
   for (size_t pick :
        {size_t{0}, triples.size() / 2, triples.size() - 1}) {
@@ -119,8 +137,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PersistencePropertyTest,
 // shape ("latest checkpoint + WAL tail").
 TEST_P(PersistencePropertyTest, MidHistorySnapshotPlusTailReplay) {
   const uint64_t seed = GetParam();
-  const std::string snapshot_path =
-      TempPath("mid_" + std::to_string(seed) + ".evsnap");
+  const std::string checkpoint_dir =
+      FreshCheckpointDir("mid_" + std::to_string(seed) + ".ckpt");
   const std::string log_path =
       TempPath("mid_" + std::to_string(seed) + ".evlog");
   std::remove(log_path.c_str());
@@ -131,15 +149,14 @@ TEST_P(PersistencePropertyTest, MidHistorySnapshotPlusTailReplay) {
   original.AttachCommitLog(&*log);
   CommitHistory(original, seed, 6);
   const version::VersionId mid = original.head() - 2;
-  ASSERT_TRUE(
-      version::SaveVersionSnapshot(original, mid, snapshot_path).ok());
+  ASSERT_TRUE(version::SaveCheckpoint(original, mid, checkpoint_dir).ok());
   ASSERT_TRUE(log->Sync().ok());
 
-  auto recovered = version::RecoverFromDisk(snapshot_path, log_path);
+  auto recovered = version::Recover(checkpoint_dir, log_path);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ(recovered->base_version, mid);
-  EXPECT_EQ(recovered->skipped_records, static_cast<size_t>(mid));
-  EXPECT_EQ(recovered->replayed_commits,
+  EXPECT_EQ(recovered->report.skipped_records, static_cast<size_t>(mid));
+  EXPECT_EQ(recovered->report.replayed_commits,
             static_cast<size_t>(original.head() - mid));
   ASSERT_EQ(recovered->vkb->head(), original.head() - mid);
   for (version::VersionId v = mid; v <= original.head(); ++v) {
@@ -159,7 +176,7 @@ TEST_P(PersistencePropertyTest, MidHistorySnapshotPlusTailReplay) {
                   ->Commit(std::move(outcome.changes), "post", "resume")
                   .ok());
 
-  std::remove(snapshot_path.c_str());
+  RemoveCheckpointDir(checkpoint_dir);
   std::remove(log_path.c_str());
 }
 
@@ -167,29 +184,28 @@ TEST_P(PersistencePropertyTest, MidHistorySnapshotPlusTailReplay) {
 // chain.
 TEST_P(PersistencePropertyTest, FullLogReplayRestoresEveryFingerprint) {
   const uint64_t seed = GetParam();
-  const std::string snapshot_path =
-      TempPath("full_" + std::to_string(seed) + ".evsnap");
+  const std::string checkpoint_dir =
+      FreshCheckpointDir("full_" + std::to_string(seed) + ".ckpt");
   const std::string log_path =
       TempPath("full_" + std::to_string(seed) + ".evlog");
   std::remove(log_path.c_str());
 
   version::VersionedKnowledgeBase original(MakeBase(seed));
-  ASSERT_TRUE(
-      version::SaveVersionSnapshot(original, 0, snapshot_path).ok());
+  ASSERT_TRUE(version::SaveCheckpoint(original, 0, checkpoint_dir).ok());
   auto log = storage::CommitLog::Open(log_path);
   ASSERT_TRUE(log.ok());
   original.AttachCommitLog(&*log);
   CommitHistory(original, seed, 5);
   ASSERT_TRUE(log->Sync().ok());
 
-  auto recovered = version::RecoverFromDisk(snapshot_path, log_path);
+  auto recovered = version::Recover(checkpoint_dir, log_path);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ(recovered->base_version, 0u);
   ASSERT_EQ(recovered->vkb->version_count(), original.version_count());
   for (version::VersionId v = 0; v <= original.head(); ++v) {
     ExpectVersionsIdentical(original, v, *recovered->vkb, v);
   }
-  std::remove(snapshot_path.c_str());
+  RemoveCheckpointDir(checkpoint_dir);
   std::remove(log_path.c_str());
 }
 
@@ -197,15 +213,14 @@ TEST_P(PersistencePropertyTest, FullLogReplayRestoresEveryFingerprint) {
 // complete commit instead of failing recovery.
 TEST_P(PersistencePropertyTest, TornTailRecoversPrefix) {
   const uint64_t seed = GetParam();
-  const std::string snapshot_path =
-      TempPath("torn_" + std::to_string(seed) + ".evsnap");
+  const std::string checkpoint_dir =
+      FreshCheckpointDir("torn_" + std::to_string(seed) + ".ckpt");
   const std::string log_path =
       TempPath("torn_" + std::to_string(seed) + ".evlog");
   std::remove(log_path.c_str());
 
   version::VersionedKnowledgeBase original(MakeBase(seed));
-  ASSERT_TRUE(
-      version::SaveVersionSnapshot(original, 0, snapshot_path).ok());
+  ASSERT_TRUE(version::SaveCheckpoint(original, 0, checkpoint_dir).ok());
   auto log = storage::CommitLog::Open(log_path);
   ASSERT_TRUE(log.ok());
   original.AttachCommitLog(&*log);
@@ -223,33 +238,39 @@ TEST_P(PersistencePropertyTest, TornTailRecoversPrefix) {
       bytes->substr(0, bytes->size() - last_record.size() / 2);
   ASSERT_TRUE(WriteFileAtomic(log_path, torn).ok());
 
-  auto recovered = version::RecoverFromDisk(snapshot_path, log_path);
+  auto recovered = version::Recover(checkpoint_dir, log_path);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ(recovered->vkb->head(), original.head() - 1);
   for (version::VersionId v = 0; v < original.head(); ++v) {
     ExpectVersionsIdentical(original, v, *recovered->vkb, v);
   }
 
-  // Strict mode still refuses the same file.
+  // Strict mode still refuses the same file. A corrupt log is no
+  // checkpoint's fault, so the healthy checkpoint stays in place.
   version::RecoveryOptions strict;
   strict.allow_torn_tail = false;
-  EXPECT_FALSE(
-      version::RecoverFromDisk(snapshot_path, log_path, strict).ok());
+  auto refused = version::Recover(checkpoint_dir, log_path, strict);
+  EXPECT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  auto kept = version::ListCheckpoints(checkpoint_dir);
+  ASSERT_TRUE(kept.ok());
+  EXPECT_EQ(kept->size(), 1u);
 
-  std::remove(snapshot_path.c_str());
+  RemoveCheckpointDir(checkpoint_dir);
   std::remove(log_path.c_str());
 }
 
-// Mixing a snapshot and a log from different histories must fail with
-// a clean error, never produce a silently wrong KB.
+// Mixing a checkpoint and a log from different histories must fail
+// with a clean error, never produce a silently wrong KB. The foreign
+// checkpoint is quarantined (renamed to `.corrupt`), not left for the
+// next start to trip over.
 TEST(PersistenceMismatchTest, ForeignLogIsRejected) {
-  const std::string snapshot_path = TempPath("mismatch.evsnap");
+  const std::string checkpoint_dir = FreshCheckpointDir("mismatch.ckpt");
   const std::string log_path = TempPath("mismatch.evlog");
   std::remove(log_path.c_str());
 
   version::VersionedKnowledgeBase history_a(MakeBase(71));
-  ASSERT_TRUE(
-      version::SaveVersionSnapshot(history_a, 0, snapshot_path).ok());
+  ASSERT_TRUE(version::SaveCheckpoint(history_a, 0, checkpoint_dir).ok());
 
   version::VersionedKnowledgeBase history_b(MakeBase(72));
   auto log = storage::CommitLog::Open(log_path);
@@ -258,31 +279,68 @@ TEST(PersistenceMismatchTest, ForeignLogIsRejected) {
   CommitHistory(history_b, 72, 3);
   ASSERT_TRUE(log->Close().ok());
 
-  auto recovered = version::RecoverFromDisk(snapshot_path, log_path);
+  auto recovered = version::Recover(checkpoint_dir, log_path);
   EXPECT_FALSE(recovered.ok());
+  const std::string quarantined =
+      version::CheckpointPath(checkpoint_dir, 0) + ".corrupt";
+  EXPECT_TRUE(Env::Default()->FileExists(quarantined));
+  auto left = version::ListCheckpoints(checkpoint_dir);
+  ASSERT_TRUE(left.ok());
+  EXPECT_TRUE(left->empty());
+  std::remove(quarantined.c_str());
 
-  std::remove(snapshot_path.c_str());
+  RemoveCheckpointDir(checkpoint_dir);
   std::remove(log_path.c_str());
+}
+
+// Checkpointing or exporting a version reads it with a transient
+// merged scan: neither may leave a flat copy of a multi-segment store
+// pinned on the version for the KB's lifetime.
+TEST(PersistenceFootprintTest, SaveAndExportLeaveStorageBytesUnchanged) {
+  workload::ScenarioScale scale;
+  scale.classes = 30;
+  scale.instances = 200;
+  scale.edges = 300;
+  scale.versions = 3;
+  scale.operations = 80;
+  const workload::Scenario scenario = workload::MakeDbpediaLike(7, scale);
+  const version::VersionedKnowledgeBase& vkb = *scenario.vkb;
+  const version::VersionId head = vkb.head();
+  auto head_kb = vkb.Snapshot(head);
+  auto previous_kb = vkb.Snapshot(head - 1);
+  ASSERT_TRUE(head_kb.ok());
+  ASSERT_TRUE(previous_kb.ok());
+  ASSERT_GE((*head_kb)->store().segments().size(), 2u);
+  ASSERT_GE((*previous_kb)->store().segments().size(), 2u);
+
+  const size_t before = vkb.StorageBytes();
+  const std::string checkpoint_dir = FreshCheckpointDir("footprint.ckpt");
+  ASSERT_TRUE(version::SaveCheckpoint(vkb, head, checkpoint_dir).ok());
+  EXPECT_EQ(vkb.StorageBytes(), before) << "after SaveCheckpoint";
+  const std::string text = rdf::WriteNTriples((*previous_kb)->store(),
+                                              (*previous_kb)->dictionary());
+  EXPECT_FALSE(text.empty());
+  EXPECT_EQ(vkb.StorageBytes(), before) << "after WriteNTriples";
+  RemoveCheckpointDir(checkpoint_dir);
 }
 
 // The whole point of restoring fingerprints: an engine serving the
 // original KB treats the recovered KB as the same cache key — the
 // first post-restart request is a hit, not a rebuild.
 TEST(PersistenceEngineTest, RecoveredKbHitsTheWarmEngineCache) {
-  const std::string snapshot_path = TempPath("engine.evsnap");
+  const std::string checkpoint_dir = FreshCheckpointDir("engine.ckpt");
   const std::string log_path = TempPath("engine.evlog");
   std::remove(log_path.c_str());
 
   version::VersionedKnowledgeBase original(MakeBase(5));
-  ASSERT_TRUE(
-      version::SaveVersionSnapshot(original, 0, snapshot_path).ok());
+  ASSERT_TRUE(version::SaveCheckpoint(original, 0, checkpoint_dir).ok());
   auto log = storage::CommitLog::Open(log_path);
   ASSERT_TRUE(log.ok());
   original.AttachCommitLog(&*log);
   CommitHistory(original, 5, 3);
   ASSERT_TRUE(log->Sync().ok());
 
-  auto recovered = version::RecoverFromDisk(snapshot_path, log_path);
+  auto recovered = version::Recover(checkpoint_dir, log_path);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
 
   const measures::MeasureRegistry registry = measures::DefaultRegistry();
@@ -320,7 +378,7 @@ TEST(PersistenceEngineTest, RecoveredKbHitsTheWarmEngineCache) {
                      list_b->items[i].relatedness);
   }
 
-  std::remove(snapshot_path.c_str());
+  RemoveCheckpointDir(checkpoint_dir);
   std::remove(log_path.c_str());
 }
 

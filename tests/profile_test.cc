@@ -14,7 +14,6 @@ TEST(ProfileTest, InterestLifecycle) {
   prof.SetInterest(1, 0.8);
   prof.SetInterest(2, 0.4);
   EXPECT_DOUBLE_EQ(prof.InterestIn(1), 0.8);
-  EXPECT_DOUBLE_EQ(prof.TotalInterest(), 1.2);
   // Zero weight erases.
   prof.SetInterest(1, 0.0);
   EXPECT_DOUBLE_EQ(prof.InterestIn(1), 0.0);

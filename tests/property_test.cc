@@ -52,12 +52,14 @@ TEST_P(DeltaPropertyTest, DeltaIsInvertibleTransformation) {
   rdf::KnowledgeBase forward = generated.kb;
   forward.store().AddAll(delta.added);
   for (const rdf::Triple& t : delta.removed) forward.store().Remove(t);
-  EXPECT_EQ(forward.store().triples(), after.store().triples());
+  EXPECT_EQ(forward.store().Match(rdf::TriplePattern{}),
+            after.store().Match(rdf::TriplePattern{}));
   // Backward: V2 − δ = V1.
   rdf::KnowledgeBase backward = after;
   backward.store().AddAll(delta.removed);
   for (const rdf::Triple& t : delta.added) backward.store().Remove(t);
-  EXPECT_EQ(backward.store().triples(), generated.kb.store().triples());
+  EXPECT_EQ(backward.store().Match(rdf::TriplePattern{}),
+            generated.kb.store().Match(rdf::TriplePattern{}));
 }
 
 // |δ(n)| summed over direct attribution never exceeds 3·|δ| (each

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 
 #include "evorec.h"
 
@@ -19,8 +20,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, HistoryPropertyTest,
 
 // Random multi-version histories: every pinned snapshot must equal its
 // delta-chain reconstruction (the base plus the archived change sets,
-// replayed), and a second KB fed the same history through the exchange
-// format must agree on every snapshot.
+// replayed), and a second KB fed the same history through the
+// commit-log wire format must agree on every snapshot.
 TEST_P(HistoryPropertyTest, ArchivePoliciesAreObservationallyEqual) {
   const uint64_t seed = GetParam();
   workload::SchemaGenOptions schema_options;
@@ -36,6 +37,13 @@ TEST_P(HistoryPropertyTest, ArchivePoliciesAreObservationallyEqual) {
 
   version::VersionedKnowledgeBase full(generated.kb);
   version::VersionedKnowledgeBase shipped(generated.kb);
+  const std::string log_path = ::testing::TempDir() +
+                               "evorec_history_property_" +
+                               std::to_string(seed) + ".evlog";
+  std::remove(log_path.c_str());
+  auto log = storage::CommitLog::Open(log_path);
+  ASSERT_TRUE(log.ok());
+  full.AttachCommitLog(&*log);
   for (uint32_t v = 0; v < 4; ++v) {
     auto head = full.Snapshot(full.head());
     ASSERT_TRUE(head.ok());
@@ -45,15 +53,30 @@ TEST_P(HistoryPropertyTest, ArchivePoliciesAreObservationallyEqual) {
     evolution_options.epoch = v + 1;
     const workload::EvolutionOutcome outcome = workload::GenerateEvolution(
         **head, full.dictionary(), evolution_options);
-    // Ship the change set through the exchange format so the test
-    // also covers cross-store shipping.
-    const std::string wire =
-        delta::WriteChangeSet(outcome.changes, full.dictionary());
-    auto received = delta::ParseChangeSet(wire, shipped.dictionary());
-    ASSERT_TRUE(received.ok());
-    (void)full.Commit(outcome.changes, "t", "step");
-    (void)shipped.Commit(*received, "t", "step");
+    ASSERT_TRUE(full.Commit(outcome.changes, "t", "step").ok());
   }
+  ASSERT_TRUE(log->Close().ok());
+
+  // Ship every commit through the log codec so the test also covers
+  // cross-store shipping: each record carries its dictionary tail and
+  // its change set in commit order.
+  auto wire = ReadFileToString(log_path);
+  ASSERT_TRUE(wire.ok());
+  std::remove(log_path.c_str());
+  const Status replayed = storage::ReplayLog(
+      *wire, [&shipped](storage::DeltaRecord&& record) -> Status {
+        for (size_t i = 0; i < record.new_terms.size(); ++i) {
+          if (shipped.dictionary().Intern(record.new_terms[i]) !=
+              record.first_term_id + i) {
+            return InternalError("dictionary tail out of step");
+          }
+        }
+        version::ChangeSet changes;
+        changes.additions = std::move(record.additions);
+        changes.removals = std::move(record.removals);
+        return shipped.Commit(std::move(changes), "t", "step").status();
+      });
+  ASSERT_TRUE(replayed.ok()) << replayed.ToString();
 
   ASSERT_EQ(full.version_count(), shipped.version_count());
   rdf::KnowledgeBase chain = **full.Snapshot(0);
@@ -108,32 +131,6 @@ TEST_P(HistoryPropertyTest, NTriplesRoundTripIsCanonical) {
     return lines;
   };
   EXPECT_EQ(sorted_lines(once), sorted_lines(twice));
-}
-
-// Change-set exchange round trip on generated evolutions.
-TEST_P(HistoryPropertyTest, ChangeSetExchangeRoundTrips) {
-  const uint64_t seed = GetParam();
-  workload::SchemaGenOptions schema_options;
-  schema_options.class_count = 25;
-  schema_options.seed = seed;
-  workload::GeneratedSchema generated =
-      workload::GenerateSchema(schema_options);
-  workload::InstanceGenOptions instance_options;
-  instance_options.instance_count = 150;
-  instance_options.seed = seed + 1;
-  workload::PopulateInstances(generated, instance_options);
-  workload::EvolutionOptions evolution_options;
-  evolution_options.operations = 120;
-  evolution_options.seed = seed + 2;
-  const workload::EvolutionOutcome outcome = workload::GenerateEvolution(
-      generated.kb, generated.kb.dictionary(), evolution_options);
-
-  const std::string text =
-      delta::WriteChangeSet(outcome.changes, generated.kb.dictionary());
-  auto parsed = delta::ParseChangeSet(text, generated.kb.dictionary());
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->additions, outcome.changes.additions);
-  EXPECT_EQ(parsed->removals, outcome.changes.removals);
 }
 
 // Sampled-betweenness contexts: reports stay valid (right size,

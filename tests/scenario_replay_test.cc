@@ -333,9 +333,9 @@ INSTANTIATE_TEST_SUITE_P(AllStreamModes, ScenarioReplayTest,
                                            StreamMode::kZipfReads,
                                            StreamMode::kAdversarialChurn,
                                            StreamMode::kSchemaShockwave),
-                         [](const auto& info) {
+                         [](const auto& param_info) {
                            std::string name =
-                               workload::StreamModeName(info.param);
+                               workload::StreamModeName(param_info.param);
                            for (char& c : name) {
                              if (c == '-') c = '_';
                            }

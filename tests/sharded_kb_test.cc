@@ -25,14 +25,6 @@ using rdf::kAnyTerm;
 using rdf::Triple;
 using rdf::TriplePattern;
 
-ChangeSet MakeChanges(std::vector<Triple> additions,
-                      std::vector<Triple> removals) {
-  ChangeSet cs;
-  cs.additions = std::move(additions);
-  cs.removals = std::move(removals);
-  return cs;
-}
-
 // A deterministic multi-version history over a small term universe so
 // commits collide with earlier versions (re-adds, double removes).
 std::vector<ChangeSet> RandomHistory(uint64_t seed, size_t versions) {
@@ -94,8 +86,9 @@ class ShardedKbTest : public ::testing::TestWithParam<size_t> {};
 
 INSTANTIATE_TEST_SUITE_P(ShardCounts, ShardedKbTest,
                          ::testing::Values(1, 2, 4, 8),
-                         [](const auto& info) {
-                           return "Shards" + std::to_string(info.param);
+                         [](const auto& param_info) {
+                           return "Shards" +
+                                  std::to_string(param_info.param);
                          });
 
 TEST_P(ShardedKbTest, UnionSnapshotsMatchUnshardedStore) {
@@ -226,7 +219,8 @@ TEST(ShardedKbSeedTest, InitialKbIsSplitAndServedBack) {
     initial.AddIriTriple("s" + std::to_string(i), "p" + std::to_string(i % 5),
                          "o" + std::to_string(i % 17));
   }
-  const std::vector<Triple> expected = initial.store().triples();
+  const std::vector<Triple> expected =
+      initial.store().Match(rdf::TriplePattern{});
 
   ShardedKnowledgeBase sharded({.shards = 4}, initial);
   EXPECT_EQ(sharded.shared_dictionary(), initial.shared_dictionary());
@@ -248,13 +242,14 @@ TEST(ShardedKbServingTest, SnapshotsPinWhileLaterCommitsLand) {
   auto pinned = sharded.SharedSnapshot(2);
   ASSERT_TRUE(pinned.ok());
   const size_t pinned_size = (*pinned)->size();
-  const std::vector<Triple> pinned_triples = (*pinned)->store().triples();
+  const std::vector<Triple> pinned_triples =
+      (*pinned)->store().Match(rdf::TriplePattern{});
 
   // Land more commits; the pinned reader must not notice.
   ReplayHistory(sharded, RandomHistory(62, 4));
   EXPECT_EQ(sharded.head(), 7u);
   EXPECT_EQ((*pinned)->size(), pinned_size);
-  EXPECT_EQ((*pinned)->store().triples(), pinned_triples);
+  EXPECT_EQ((*pinned)->store().Match(rdf::TriplePattern{}), pinned_triples);
 }
 
 TEST(ShardedKbServingTest, ServingReadsNeverCopyTheStore) {

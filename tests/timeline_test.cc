@@ -110,17 +110,6 @@ TEST(TimelineTest, TopTrendingAndBursty) {
   EXPECT_EQ(bursty[0].term, f.spiky);
 }
 
-TEST(TimelineTest, ActiveTermsExcludeUntouched) {
-  TimelineFixture f;
-  ClassChangeCountMeasure measure;
-  auto timeline = EvolutionTimeline::Compute(f.vkb, measure, /*first=*/1);
-  ASSERT_TRUE(timeline.ok());
-  const auto active = timeline->ActiveTerms();
-  EXPECT_NE(std::find(active.begin(), active.end(), f.rising),
-            active.end());
-  EXPECT_NE(std::find(active.begin(), active.end(), f.spiky), active.end());
-}
-
 TEST(TimelineTest, RangeValidation) {
   TimelineFixture f;
   ClassChangeCountMeasure measure;

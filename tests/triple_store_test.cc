@@ -106,7 +106,7 @@ TEST(TripleStoreTest, MatchResultsAreSortedSpo) {
 TEST(TripleStoreTest, ScanEarlyStop) {
   TripleStore store = MakeStore({{1, 1, 1}, {1, 1, 2}, {1, 1, 3}});
   size_t visited = 0;
-  store.Scan({1, 1, kAnyTerm}, [&](const Triple&) {
+  store.ScanT({1, 1, kAnyTerm}, [&](const Triple&) {
     ++visited;
     return visited < 2;
   });
